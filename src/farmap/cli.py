@@ -10,7 +10,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,7 +37,6 @@ class RunConfig:
     max_steps: int = 500
     orbits: int = 100
     tol_geom: float = None
-    tol_tie: float = None
     tol_fix: float = None
     tol_conv: float = None
     tol_curve: float = None
@@ -47,8 +45,6 @@ class RunConfig:
         diam = self.surface.diameter
         if self.tol_geom is None:
             self.tol_geom = 1e-9 * diam
-        if self.tol_tie is None:
-            self.tol_tie = 1e-7 * diam
         if self.tol_fix is None:
             self.tol_fix = 1e-6 * diam
         if self.tol_conv is None:
@@ -59,9 +55,6 @@ class RunConfig:
     def rng(self):
         return np.random.default_rng(self.seed)
 
-    def threads(self):
-        return max(1, int(os.environ.get("FARMAP_THREADS", "1")))
-
 
 def load_surface(args):
     if args.preset:
@@ -70,8 +63,13 @@ def load_surface(args):
         raise FarmapError("need --input FILE or --preset NAME")
     with open(args.input) as fh:
         data = json.load(fh)
+    if not isinstance(data, dict):
+        raise FarmapError("surface JSON must be an object")
     if "vertices" in data:
         return build_from_vertices(data["vertices"])
+    missing = [k for k in ("faces", "gluings") if k not in data]
+    if missing:
+        raise FarmapError(f"net JSON lacks {', '.join(missing)}")
     return build_from_gluing(data)
 
 
@@ -133,13 +131,15 @@ def cmd_unfold(cfg, point=None):
 
 # -- orbit ------------------------------------------------------------------
 
-def _run_one_orbit(args):
-    surface, p0, max_steps, eps_conv = args
-    orb = iterate(surface, p0, max_steps=max_steps, eps_conv=eps_conv)
+def _run_one_orbit(cfg, p0):
+    """Iterate f from p0, scan the orbit for periodic points and certify
+    its limit: the per-orbit step of `orbit` and `report`."""
+    s = cfg.surface
+    orb = iterate(s, p0, max_steps=cfg.max_steps, eps_conv=cfg.tol_conv)
     cert = None
-    hits = periodicity_scan(surface, orb, eps_conv=eps_conv)
+    hits = periodicity_scan(s, orb, eps_conv=cfg.tol_conv)
     if orb.status == "converged":
-        cert = certify_limit(surface, orb)
+        cert = certify_limit(s, orb)
     return orb, cert, hits
 
 
@@ -148,12 +148,7 @@ def cmd_orbit(cfg, starts=None):
     rng = cfg.rng()
     if starts is None:
         starts = [s.random_point(rng) for _ in range(cfg.orbits)]
-    jobs = [(s, p, cfg.max_steps, cfg.tol_conv) for p in starts]
-    if cfg.threads() > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads()) as pool:
-            results = list(pool.map(_run_one_orbit, jobs))
-    else:
-        results = [_run_one_orbit(j) for j in jobs]
+    results = [_run_one_orbit(cfg, p) for p in starts]
 
     _ensure_out(cfg)
     n_conv = 0
@@ -265,23 +260,17 @@ def cmd_report(cfg, inject_cycle=False):
 
     # theorem 1: no generalized periodic points over an orbit batch
     starts = [s.random_point(rng) for _ in range(cfg.orbits)]
-    orbits = []
-    certs = []
-    periodic_total = 0
-    for p in starts:
-        orb = iterate(s, p, max_steps=cfg.max_steps, eps_conv=cfg.tol_conv)
-        orbits.append(orb)
-        periodic_total += len(periodicity_scan(s, orb,
-                                               eps_conv=cfg.tol_conv))
-        if orb.status == "converged":
-            certs.append(certify_limit(s, orb))
+    results = [_run_one_orbit(cfg, p) for p in starts]
+    certs = [cert for _, cert, _ in results if cert is not None]
+    periodic_total = sum(len(hits) for _, _, hits in results)
     if inject_cycle:
         fake = synthetic_cycle_orbit(s, s.random_point(rng),
                                      s.random_point(rng))
         periodic_total += len(periodicity_scan(s, fake,
                                                eps_conv=cfg.tol_conv))
     report["orbits"] = len(starts)
-    report["converged"] = sum(o.status == "converged" for o in orbits)
+    report["converged"] = sum(orb.status == "converged"
+                              for orb, _, _ in results)
     report["periodic_hits"] = periodic_total
     report["theorem1_ok"] = periodic_total == 0
     report["theorem3_ok"] = report["converged"] == len(starts)
@@ -343,7 +332,7 @@ def build_parser():
         p.add_argument("--out", default="farmap_out")
         p.add_argument("--orbits", type=int, default=100)
         p.add_argument("--max-steps", type=int, default=500)
-        for tol in ("geom", "tie", "fix", "conv", "curve"):
+        for tol in ("geom", "fix", "conv", "curve"):
             p.add_argument(f"--tol-{tol}", type=float, default=None)
         if name == "unfold":
             p.add_argument("--point", help="face,u,v source point")
@@ -372,8 +361,8 @@ def main(argv=None):
     cfg = RunConfig(surface=surface, out=args.out, seed=args.seed,
                     resolution=args.res, max_steps=args.max_steps,
                     orbits=args.orbits, tol_geom=args.tol_geom,
-                    tol_tie=args.tol_tie, tol_fix=args.tol_fix,
-                    tol_conv=args.tol_conv, tol_curve=args.tol_curve)
+                    tol_fix=args.tol_fix, tol_conv=args.tol_conv,
+                    tol_curve=args.tol_curve)
     try:
         if args.command == "validate":
             return cmd_validate(cfg)

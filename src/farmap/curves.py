@@ -94,22 +94,17 @@ def build_rational_map(region, triple):
     return RationalMap((i, j, k), q1, q2, q3)
 
 
-def iso_grid(iso, x, y):
-    return (iso.a * x + iso.b * y + iso.tx,
-            iso.c * x + iso.d * y + iso.ty)
-
-
-def triple_distance_field(region, rmap, x, y):
-    """D_{ijk}: distance from I_i(x, y) to the circumcenter."""
+def _triple_distance(region, rmap, x, y):
+    """D_{ijk}: distance from I_i(x, y) to the circumcenter (floats or
+    arrays; inf where the circumcenter's denominator vanishes)."""
     fx, fy = rmap.eval(x, y)
-    i = rmap.indices[0]
-    ax, ay = iso_grid(region.isometries[i], x, y)
+    ax, ay = region.isometries[rmap.indices[0]].apply((x, y))
     return np.hypot(ax - fx, ay - fy)
 
 
-def cone_distance_field(region, n, x, y):
+def _cone_distance(region, n, x, y):
     """|phi_n(x, y) - C_n(s)|: distance from the source to cone point n."""
-    ax, ay = iso_grid(region.isometries[n], x, y)
+    ax, ay = region.isometries[n].apply((x, y))
     cx, cy = region.cone_constants[n]
     return np.hypot(ax - cx, ay - cy)
 
@@ -305,91 +300,49 @@ def _bisect_refine(fn, x0, y0, x1, y1, v0, v1, tol, iters=44):
 class _Equation:
     kind: str
     data: tuple
-    field_fn: object      # numpy grid evaluator
-    point_fn: object      # scalar evaluator (plain floats)
-    value_fn: object      # scalar equation value (for validity d-check)
-
-
-def _scalar_triple_d(region, rmap):
-    i = rmap.indices[0]
-    iso = region.isometries[i]
-    q1, q2, q3 = rmap.q1, rmap.q2, rmap.q3
-
-    def fn(x, y):
-        den = _qeval(q3, x, y)
-        if den == 0.0:
-            return math.inf
-        fx = _qeval(q1, x, y) / den
-        fy = _qeval(q2, x, y) / den
-        ax = iso.a * x + iso.b * y + iso.tx
-        ay = iso.c * x + iso.d * y + iso.ty
-        return math.hypot(ax - fx, ay - fy)
-    return fn
-
-
-def _scalar_cone_d(region, n):
-    iso = region.isometries[n]
-    cx, cy = region.cone_constants[n]
-
-    def fn(x, y):
-        ax = iso.a * x + iso.b * y + iso.tx
-        ay = iso.c * x + iso.d * y + iso.ty
-        return math.hypot(ax - cx, ay - cy)
-    return fn
+    field_fn: object      # residual field, floats or arrays
+    value_fn: object      # equation value (for the validity d-check)
 
 
 def _region_equations(surface, region, pairs1, pairs2, pairs3):
     """Equation objects for the detected Type 1/2/3 instances."""
     eqs = []
-    rmaps = {}
-    scalars = {}
     needed = {t for ta, tb in pairs1 for t in (ta, tb)}
     needed |= {t for t, _ in pairs2}
+    mapped = set()
     for t in sorted(needed):
         try:
-            rmaps[t] = build_rational_map(region, t)
-            scalars[t] = _scalar_triple_d(region, rmaps[t])
+            _cached_rmap(region, t)
         except AllTranslations:
             continue
-    cone_scalars = {n: _scalar_cone_d(region, n)
-                    for n in range(len(region.isometries))}
+        mapped.add(t)
 
     for ta, tb in sorted(pairs1):
-        if ta not in rmaps or tb not in rmaps:
+        if ta not in mapped or tb not in mapped:
             continue
-        rma, rmb = rmaps[ta], rmaps[tb]
-        da, db = scalars[ta], scalars[tb]
-
-        def f_field(x, y, rma=rma, rmb=rmb):
-            return (triple_distance_field(region, rma, x, y)
-                    - triple_distance_field(region, rmb, x, y))
-
-        eqs.append(_Equation("type1", (ta, tb), f_field,
-                             lambda x, y, da=da, db=db: da(x, y) - db(x, y),
-                             da))
+        rma, rmb = _cached_rmap(region, ta), _cached_rmap(region, tb)
+        eqs.append(_Equation(
+            "type1", (ta, tb),
+            lambda x, y, rma=rma, rmb=rmb: (
+                _triple_distance(region, rma, x, y)
+                - _triple_distance(region, rmb, x, y)),
+            lambda x, y, rma=rma: _triple_distance(region, rma, x, y)))
     for ta, n in sorted(pairs2):
-        if ta not in rmaps:
+        if ta not in mapped:
             continue
-        rma = rmaps[ta]
-        da, dn = scalars[ta], cone_scalars[n]
-
-        def f_field(x, y, rma=rma, n=n):
-            return (triple_distance_field(region, rma, x, y)
-                    - cone_distance_field(region, n, x, y))
-
-        eqs.append(_Equation("type2", (ta, n), f_field,
-                             lambda x, y, da=da, dn=dn: da(x, y) - dn(x, y),
-                             dn))
+        rma = _cached_rmap(region, ta)
+        eqs.append(_Equation(
+            "type2", (ta, n),
+            lambda x, y, rma=rma, n=n: (
+                _triple_distance(region, rma, x, y)
+                - _cone_distance(region, n, x, y)),
+            lambda x, y, n=n: _cone_distance(region, n, x, y)))
     for m, n in sorted(pairs3):
-        dm, dn = cone_scalars[m], cone_scalars[n]
-
-        def f_field(x, y, m=m, n=n):
-            return (cone_distance_field(region, m, x, y)
-                    - cone_distance_field(region, n, x, y))
-
-        eqs.append(_Equation("type3", (m, n), f_field,
-                             lambda x, y, dm=dm, dn=dn: dm(x, y) - dn(x, y),
-                             dn))
+        eqs.append(_Equation(
+            "type3", (m, n),
+            lambda x, y, m=m, n=n: (_cone_distance(region, m, x, y)
+                                    - _cone_distance(region, n, x, y)),
+            lambda x, y, n=n: _cone_distance(region, n, x, y)))
     return eqs
 
 
@@ -460,39 +413,41 @@ def trace_curves(surface, region, resolution=512, *, eps_tie=None,
         validate_spacing = diam / 120.0
     if region.isometries is None:
         raise ValueError("region isometries must be fitted first")
-    if equations is None:
-        p1, p2, p3, _ = probe_equations(surface, region, eps_tie=eps_tie)
-        equations = _region_equations(surface, region, p1, p2, p3)
+    # one errstate for every field evaluation, grid and scalar alike: a
+    # vanishing circumcenter denominator gives inf, not a warning
+    with np.errstate(all="ignore"):
+        if equations is None:
+            p1, p2, p3, _ = probe_equations(surface, region,
+                                            eps_tie=eps_tie)
+            equations = _region_equations(surface, region, p1, p2, p3)
 
-    poly = region.polygon
-    xs0 = min(p[0] for p in poly)
-    xs1 = max(p[0] for p in poly)
-    ys0 = min(p[1] for p in poly)
-    ys1 = max(p[1] for p in poly)
-    pad = 1e-6 * diam
-    xs = np.linspace(xs0 - pad, xs1 + pad, resolution)
-    ys = np.linspace(ys0 - pad, ys1 + pad, resolution)
-    gx, gy = np.meshgrid(xs, ys)
-    mask = _grid_mask(poly, gx, gy)
+        poly = region.polygon
+        xs0 = min(p[0] for p in poly)
+        xs1 = max(p[0] for p in poly)
+        ys0 = min(p[1] for p in poly)
+        ys1 = max(p[1] for p in poly)
+        pad = 1e-6 * diam
+        xs = np.linspace(xs0 - pad, xs1 + pad, resolution)
+        ys = np.linspace(ys0 - pad, ys1 + pad, resolution)
+        gx, gy = np.meshgrid(xs, ys)
+        mask = _grid_mask(poly, gx, gy)
 
-    out = []
-    for eq in equations:
-        with np.errstate(all="ignore"):
+        out = []
+        for eq in equations:
             vals = eq.field_fn(gx, gy)
-        ok = mask & np.isfinite(vals)
-        if not (np.any(vals[ok] > 0) and np.any(vals[ok] < 0)):
-            continue
+            ok = mask & np.isfinite(vals)
+            if not (np.any(vals[ok] > 0) and np.any(vals[ok] < 0)):
+                continue
 
-        chains = _marching_squares(vals, ok, xs, ys, eq.point_fn)
-        for chain in chains:
-            for piece in _split_at_corners(chain):
-                if len(piece) < 2:
-                    continue
-                curve = _validate_and_label(
-                    surface, region, eq, piece, eps_tie=eps_tie,
-                    eps_curve=eps_curve, eps_fix=eps_fix,
-                    spacing=validate_spacing)
-                out.extend(curve)
+            chains = _marching_squares(vals, ok, xs, ys, eq.field_fn)
+            for chain in chains:
+                for piece in _split_at_corners(chain):
+                    if len(piece) < 2:
+                        continue
+                    out.extend(_validate_and_label(
+                        surface, region, eq, piece, eps_tie=eps_tie,
+                        eps_curve=eps_curve, eps_fix=eps_fix,
+                        spacing=validate_spacing))
     cell = max(xs1 - xs0, ys1 - ys0) / resolution
     return dedup_curves(out, 3.0 * cell)
 
@@ -562,7 +517,7 @@ def _validate_and_label(surface, region, eq, chain, *, eps_tie, eps_curve,
             if bracket is None:
                 refined[idx] = p_lin
             else:
-                refined[idx] = _bisect_refine(eq.point_fn, *bracket,
+                refined[idx] = _bisect_refine(eq.field_fn, *bracket,
                                               eps_curve)
         return refined[idx]
 
@@ -634,17 +589,13 @@ def _classify_sample(surface, region, eq, xy, eps_tie, eps_curve, eps_fix):
     and the coinciding point is a limit point iff the map fixes it).
     """
     from .farthest import triple_conditions
-    resid = abs(eq.point_fn(*xy))
+    resid = abs(eq.field_fn(*xy))
     val = eq.value_fn(*xy)
     tol_d = max(20 * eps_curve, 2 * eps_tie)
     # cone distances bound d(p) from below for free: an equation value
     # under that bound can never satisfy the d-consistency rule
-    cone_fns = getattr(region, "_cone_scalar_cache", None)
-    if cone_fns is None:
-        cone_fns = [_scalar_cone_d(region, n)
-                    for n in range(len(region.isometries))]
-        region._cone_scalar_cache = cone_fns
-    d_lo = max(fn(*xy) for fn in cone_fns)
+    d_lo = max(_cone_distance(region, n, *xy)
+               for n in range(len(region.isometries)))
     if resid > 10 * eps_curve or val < d_lo - tol_d:
         return CurveSample(xy, False, NEITHER, resid, math.inf)
     try:

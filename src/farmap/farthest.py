@@ -40,9 +40,6 @@ class FarthestResult:
     radius: float
     points: list            # FarthestPoint entries, deduplicated
 
-    def surface_points(self):
-        return [fp.point for fp in self.points]
-
     def active_indices(self, fp, slack=None):
         """Source-image indices whose distance to fp's planar image is
         minimal and whose segment is a star path (the minimizers)."""

@@ -89,13 +89,6 @@ class DirectionAtlas:
                 return f, (math.cos(ang), math.sin(ang)), uv
         raise ValueError(f"atlas angle {t} outside [0, {self.total})")
 
-    def angle_of(self, face, vec, slack=1e-9):
-        """Chart direction in `face` -> atlas angle."""
-        t, violation = self._best_angle(face, vec)
-        if t is None or violation > slack:
-            raise ValueError("direction does not point into the given face")
-        return t
-
     def _best_angle(self, face, vec):
         """Atlas angle for the sector of `face` closest to the direction,
         with the angular violation (0 inside)."""
@@ -168,10 +161,6 @@ class GeodesicPath:
     target_img: tuple             # target image in the search frame
     polyline: list                # [(face, (u0,v0), (u1,v1)), ...]
     face_sequence: list = field(default_factory=list)
-
-    @property
-    def unfolded_polyline(self):
-        return ((0.0, 0.0), self.target_img)
 
     def point_at(self, s):
         """Surface point at arc length s from the source."""

@@ -70,11 +70,6 @@ class Iso:
         x, y = v
         return (self.a * x + self.b * y, self.c * x + self.d * y)
 
-    def apply_many(self, pts):
-        pts = np.asarray(pts, dtype=float)
-        m = np.array([[self.a, self.b], [self.c, self.d]])
-        return pts @ m.T + np.array([self.tx, self.ty])
-
     def compose(self, other):
         """self o other (apply other first)."""
         o = other
@@ -346,9 +341,6 @@ def _in_triangle(p, a, b, c):
 # Affine forms are numpy arrays [c, cx, cy] meaning c + cx*x + cy*y.
 # Quadratics are arrays [c, x, y, x^2, x*y, y^2].
 
-AFF_ONE = np.array([1.0, 0.0, 0.0])
-
-
 def aff(c, cx, cy):
     return np.array([c, cx, cy], dtype=float)
 
@@ -363,12 +355,3 @@ def aff_mul(a, b):
         a[1] * b[2] + a[2] * b[1],
         a[2] * b[2],
     ])
-
-
-def quad_eval(q, x, y):
-    return (q[0] + q[1] * x + q[2] * y
-            + q[3] * x * x + q[4] * x * y + q[5] * y * y)
-
-
-def aff_eval(a, x, y):
-    return a[0] + a[1] * x + a[2] * y

@@ -158,8 +158,3 @@ def _curve_to_net(surface, region, polyline, net):
     if len(cur) >= 2:
         segs.append(cur)
     return segs
-
-
-def trees_svg(surface, dec, net=None):
-    """Only the cut loci on the net, one color per cone point."""
-    return net_svg(surface, dec=dec, curves=None, net=net)

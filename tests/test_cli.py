@@ -31,6 +31,22 @@ def test_missing_input_is_usage_error(tmp_path):
     assert rc == 1
 
 
+def test_non_object_json_is_usage_error(tmp_path):
+    bad = tmp_path / "list.json"
+    bad.write_text(json.dumps([1, 2, 3]))
+    rc = main(["validate", "--input", str(bad), "--out", str(tmp_path)])
+    assert rc == 1
+
+
+def test_net_without_gluings_is_usage_error(tmp_path, octa):
+    spec = octa.to_net_spec()
+    del spec["gluings"]
+    net = tmp_path / "net.json"
+    net.write_text(json.dumps(spec))
+    rc = main(["validate", "--input", str(net), "--out", str(tmp_path)])
+    assert rc == 1
+
+
 def test_vertices_file_roundtrip(tmp_path):
     src = tmp_path / "octa.json"
     src.write_text(json.dumps({"vertices": [
