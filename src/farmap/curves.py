@@ -18,6 +18,7 @@ from .errors import (AllTranslations, CompositionIsTranslation, NoSolution)
 from .cutlocus import _cell_transform
 from .farthest import evaluate_f
 from .geom import aff, aff_mul, glide_decomposition, point_in_polygon
+from .star_unfold import unfold
 
 MULTI_VALUED = "multi-valued"
 LIMIT = "limit"
@@ -378,10 +379,11 @@ def probe_equations(surface, region, *, grid=6, eps_tie=None,
     pairs1, pairs2, pairs3 = set(), set(), set()
     triples = set()
     for sp in probes:
-        res = evaluate_f(surface, sp, eps_tie=eps_tie)
+        u = unfold(surface, surface.antipode(sp))
+        res = evaluate_f(surface, sp, eps_tie=eps_tie, unfolding=u)
         goods = sorted(g.indices for g in res.good)
         triples.update(goods)
-        near_cones = [n for n, cut in enumerate(res.unfolding.cuts)
+        near_cones = [n for n, cut in enumerate(u.cuts)
                       if cut.length >= res.radius - slack]
         for ta, tb in combinations(goods, 2):
             pairs1.add((ta, tb))
@@ -602,13 +604,14 @@ def _classify_sample(surface, region, eq, xy, eps_tie, eps_curve, eps_fix):
         sp = region.chart_inverse(xy)
     except KeyError:
         return CurveSample(xy, False, NEITHER, resid, math.inf)
-    res = evaluate_f(surface, sp, eps_tie=eps_tie)
+    u = unfold(surface, surface.antipode(sp))
+    res = evaluate_f(surface, sp, eps_tie=eps_tie, unfolding=u)
     d_gap = abs(val - res.radius)
     if d_gap > tol_d:
         return CurveSample(xy, False, NEITHER, resid, d_gap)
 
     def nearly_good(t):
-        return triple_conditions(res.unfolding, t, slack=tol_d) is not None
+        return triple_conditions(u, t, slack=tol_d) is not None
 
     label = NEITHER
     if eq.kind == "type1":
@@ -830,10 +833,11 @@ def check_rational_representation(surface, region, curves, *,
                 sp = region.chart_inverse(xy)
             except KeyError:
                 continue
-            res = evaluate_f(surface, sp, eps_tie=eps_tie)
+            u = unfold(surface, surface.antipode(sp))
+            res = evaluate_f(surface, sp, eps_tie=eps_tie, unfolding=u)
             fp = max(res.points, key=lambda q: q.distance)
             if fp.provenance == "cone":
-                vid = res.unfolding.cuts[fp.indices[0]].vid
+                vid = u.cuts[fp.indices[0]].vid
                 if formula is None:
                     formula = ("cone", vid)
                 elif formula != ("cone", vid):
@@ -849,7 +853,7 @@ def check_rational_representation(surface, region, curves, *,
                 continue
             rm = _cached_rmap(region, triple)
             pred = rm.eval(*xy)
-            img, t_chart = res.unfolding.dev_point(sp)
+            img, t_chart = u.dev_point(sp)
             w = _cell_transform(region, sp)
             anchor = w.compose(t_chart.inverse())
             true_pt = anchor.apply(fp.center)

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import ConvexHull, Voronoi
+from scipy.spatial import ConvexHull
 
 from .errors import ArrangementDegeneracy, FitDegenerate
 from .geom import (Iso, dist_point_seg, fit_reversing_isometry,
@@ -114,8 +114,8 @@ def cut_locus(surface, vid, *, eps_tie=None):
     is folded back to a surface polyline.
     """
     u = unfold(surface, surface.vertex_point(vid), eps_tie=eps_tie)
-    sites = np.array(u.source_images)
-    vor = Voronoi(sites)
+    vor = u.voronoi()
+    sites = vor.points
     span = float(np.ptp(sites, axis=0).max()) * 20.0 + 10.0 * surface.diameter
     center = sites.mean(axis=0)
 

@@ -29,6 +29,10 @@ class CutDegeneracy(FarmapError):
     """Two cuts of a star unfolding coincide beyond relabeling."""
 
 
+class VoronoiDegeneracy(FarmapError):
+    """Qhull cannot build the Voronoi diagram of the source images."""
+
+
 class OutsidePolygon(FarmapError):
     """Planar point is not strictly inside the star polygon."""
 

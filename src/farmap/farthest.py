@@ -3,25 +3,35 @@
 Candidates are circumcenters of good triples of source images (interior
 points with at least three minimizers back to the source) and the cone
 points themselves; f(p) keeps whichever family realizes the larger
-distance, or both on a tie.
+distance, or both on a tie. A good triple's circumcenter is a vertex of
+the Voronoi diagram of the source images, so only the triples at those
+vertices are tested.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
+
+import numpy as np
 
 from .geom import circumcenter
 from .star_unfold import unfold
 
+# images within this distance (x chart_scale) of the nearest one at a
+# Voronoi vertex count as its nearest too: cocircular images meet at one
+# vertex, which qhull may split into several by rounding
+VORONOI_MERGE = 1e-6
 
-@dataclass
+
+# slotted: batch callers keep thousands of results, each with ~K good triples
+@dataclass(slots=True)
 class GoodTriple:
     indices: tuple      # three 0-based source-image indices
     center: tuple       # circumcenter in the star-polygon plane
     radius: float
 
 
-@dataclass
+@dataclass(slots=True)
 class FarthestPoint:
     point: object       # SurfacePoint
     provenance: str     # "triple" | "cone"
@@ -30,15 +40,27 @@ class FarthestPoint:
     indices: tuple      # triple indices, or (image index,) for a cone
 
 
-@dataclass
+@dataclass(slots=True)
 class FarthestResult:
+    surface: object
     source: object          # phi(p), the unfolding source
-    unfolding: object
     good: list              # all good triples
     m1: float
     m2: float
     radius: float
     points: list            # FarthestPoint entries, deduplicated
+    budget: object = None   # search budget the unfolding was built with
+    _unfolding: object = field(default=None, repr=False, compare=False)
+
+    @property
+    def unfolding(self):
+        """The star unfolding around `source`. Unless the caller supplied
+        it, it is rebuilt on first access (`unfold` is deterministic), so
+        that a kept result does not pin the whole unfolding."""
+        if self._unfolding is None:
+            self._unfolding = unfold(self.surface, self.source,
+                                     budget=self.budget)
+        return self._unfolding
 
     def active_indices(self, fp, slack=None):
         """Source-image indices whose distance to fp's planar image is
@@ -90,11 +112,23 @@ def triple_conditions(u, triple, *, eps=None, slack=None):
 def good_triples(u, eps=None):
     """All good triples of the unfolding, in lexicographic index order.
 
-    Collinear image triples have no circumcenter and are skipped; centers
-    on the polygon boundary (within eps) fail the interior condition.
+    Clipped to the star polygon, the Voronoi diagram of the source images
+    is the cut locus, so a good triple's circumcenter is a Voronoi vertex
+    and its images are the vertex's nearest ones. Every triple among the
+    nearest images of some vertex is tested. Collinear image triples have
+    no circumcenter and are skipped; centers on the polygon boundary
+    (within eps) fail the interior condition.
     """
+    vor = u.voronoi()
+    d = np.linalg.norm(vor.vertices[:, None, :] - vor.points[None, :, :],
+                       axis=2)
+    nearest = d <= d.min(axis=1, keepdims=True) + \
+        VORONOI_MERGE * u.surface.chart_scale
+    candidates = set()
+    for row in nearest:
+        candidates.update(combinations(np.flatnonzero(row).tolist(), 3))
     out = []
-    for triple in combinations(range(u.n_images), 3):
+    for triple in sorted(candidates):
         g = triple_conditions(u, triple, eps=eps)
         if g is not None:
             out.append(g)
@@ -106,14 +140,17 @@ def evaluate_f(surface, p, *, eps_tie=None, budget=None, unfolding=None):
 
     Ties within eps_tie emit every candidate: f is genuinely multi-valued
     on the special curves and downstream classification needs the full set.
+    eps_tie only widens what is reported: the unfolding keeps its default
+    cut choice, since a cut picked among wider near-ties can be longer
+    than the distance to its cone point. A caller that needs the
+    unfolding afterwards passes its own as `unfolding`, which the result
+    keeps.
     """
     if eps_tie is None:
         eps_tie = surface.eps_tie
-    if unfolding is None:
-        source = surface.antipode(p)
-        u = unfold(surface, source, eps_tie=eps_tie, budget=budget)
-    else:
-        u = unfolding
+    u = unfolding
+    if u is None:
+        u = unfold(surface, surface.antipode(p), budget=budget)
     gts = good_triples(u)
     m1 = max((g.radius for g in gts), default=-math.inf)
     m2 = max(c.length for c in u.cuts)
@@ -140,7 +177,8 @@ def evaluate_f(surface, p, *, eps_tie=None, budget=None, unfolding=None):
                 pt = surface.vertex_point(cut.vid)
                 points.append(FarthestPoint(pt, "cone", u.cone_images[n],
                                             cut.length, (n,)))
-    return FarthestResult(u.source, u, gts, m1, m2, radius, points)
+    return FarthestResult(surface, u.source, gts, m1, m2, radius, points,
+                          budget, unfolding)
 
 
 def radius(surface, p, **kwargs):

@@ -65,6 +65,18 @@ class DirectionAtlas:
         self.sectors = sectors
         self.total = total
 
+    @classmethod
+    def at(cls, surface, p):
+        """The atlas of p. A cone point's atlas depends on nothing but the
+        surface, so it is built once and kept in `surface.cone_atlases`."""
+        kind, vid = surface.classify(p)
+        if kind != "vertex":
+            return cls(surface, p)
+        atlas = surface.cone_atlases.get(vid)
+        if atlas is None:
+            atlas = surface.cone_atlases[vid] = cls(surface, p)
+        return atlas
+
     def sector_of_face(self, face):
         for idx, sec in enumerate(self.sectors):
             if sec[0] == face:
@@ -215,7 +227,7 @@ def _search(surface, p, targets, tags, *, all_ties, eps_tie, budget):
     Returns (best, cands) with cands[tag] a list of raw candidates
     (length, q_img, state); a state chains back to the start face.
     """
-    atlas = DirectionAtlas(surface, p)
+    atlas = DirectionAtlas.at(surface, p)
     tol = 1e-12 * surface.chart_scale
     best = {tag: math.inf for tag in tags}
     cands = {tag: [] for tag in tags}
@@ -421,8 +433,8 @@ def minimizers(surface, p, q, *, eps_tie=None, budget=DEFAULT_BUDGET):
     targets = _targets_for_point(surface, q)
     best, cands = _search(surface, p, targets, (0,), all_ties=True,
                           eps_tie=eps_tie, budget=budget)
-    atlas_q = DirectionAtlas(surface, q)
-    total_p = DirectionAtlas(surface, p).total
+    atlas_q = DirectionAtlas.at(surface, q)
+    total_p = DirectionAtlas.at(surface, p).total
     raw = [c for c in cands[0] if c[0] <= best[0] + eps_tie]
     paths = [_build_path(surface, p, q, *c, atlas_q, total_p) for c in raw]
     dedup_tol = max(1e-9 * surface.chart_scale, 1e-12)
@@ -447,11 +459,11 @@ def paths_to_cone_points(surface, p, *, eps_tie=None, budget=DEFAULT_BUDGET):
                           eps_tie=eps_tie, budget=budget)
     out = {}
     dedup_tol = max(1e-9 * surface.chart_scale, 1e-12)
-    total_p = DirectionAtlas(surface, p).total
+    total_p = DirectionAtlas.at(surface, p).total
     for vid in vids:
         raw = [c for c in cands[vid] if c[0] <= best[vid] + eps_tie]
         q = surface.vertex_point(vid)
-        atlas_q = DirectionAtlas(surface, q)
+        atlas_q = DirectionAtlas.at(surface, q)
         paths = [_build_path(surface, p, q, *c, atlas_q, total_p)
                  for c in raw]
         paths = _dedup_paths(surface, paths, dedup_tol)
@@ -481,8 +493,8 @@ def lunes(surface, p, q, *, paths=None, eps_tie=None):
         paths = minimizers(surface, p, q, eps_tie=eps_tie)
     if not paths:
         raise ValueError("no minimizers between p and q")
-    atlas_p = DirectionAtlas(surface, p)
-    atlas_q = DirectionAtlas(surface, q)
+    atlas_p = DirectionAtlas.at(surface, p)
+    atlas_q = DirectionAtlas.at(surface, q)
     theta_p = atlas_p.total
     theta_q = atlas_q.total
 

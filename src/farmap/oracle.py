@@ -12,6 +12,7 @@ subdivision cell.
 """
 
 import math
+import weakref
 
 import numpy as np
 from scipy.sparse import coo_matrix
@@ -51,7 +52,6 @@ class _SubdividedGraph:
     """Boundary-node graph shared by all queries at one level."""
 
     def __init__(self, surface, level):
-        self.surface = surface
         self.level = level
         n_seg = 2 ** level
         self.n_seg = n_seg
@@ -101,9 +101,8 @@ class _SubdividedGraph:
                     vals.append(d[i, j])
         self.matrix_parts = (rows, cols, vals)
 
-    def distances_from(self, p):
+    def distances_from(self, surface, p):
         """Dijkstra distances from surface point p to all boundary nodes."""
-        surface = self.surface
         rows, cols, vals = (list(self.matrix_parts[0]),
                             list(self.matrix_parts[1]),
                             list(self.matrix_parts[2]))
@@ -136,14 +135,16 @@ class _SubdividedGraph:
         return dist[:self.n_nodes]
 
 
-_GRAPH_CACHE = {}
+# surface -> {level: graph}. Graphs hold no reference to their surface,
+# so an entry goes away with its surface.
+_GRAPHS = weakref.WeakKeyDictionary()
 
 
 def _graph(surface, level):
-    key = (id(surface), level)
-    if key not in _GRAPH_CACHE:
-        _GRAPH_CACHE[key] = _SubdividedGraph(surface, level)
-    return _GRAPH_CACHE[key]
+    graphs = _GRAPHS.setdefault(surface, {})
+    if level not in graphs:
+        graphs[level] = _SubdividedGraph(surface, level)
+    return graphs[level]
 
 
 def oracle_distance(surface, p, q, level):
@@ -151,7 +152,7 @@ def oracle_distance(surface, p, q, level):
     one straight chord to q inside q's face(s); points sharing a face also
     get the direct chord."""
     g = _graph(surface, level)
-    bdist = g.distances_from(p)
+    bdist = g.distances_from(surface, p)
     faces = {q.face}
     kind, info = surface.classify(q)
     if kind == "edge":
@@ -188,7 +189,7 @@ def oracle_distance_field(surface, p, level):
     if level < 0:
         raise ValueError("subdivision level must be >= 0")
     g = _graph(surface, level)
-    bdist = g.distances_from(p)
+    bdist = g.distances_from(surface, p)
 
     n_seg = g.n_seg
     node_face_uv = []

@@ -17,7 +17,10 @@ indexing is constant on each region of the cut-locus decomposition.
 import math
 from dataclasses import dataclass
 
-from .errors import CutDegeneracy, OutsidePolygon
+import numpy as np
+from scipy.spatial import QhullError, Voronoi
+
+from .errors import CutDegeneracy, OutsidePolygon, VoronoiDegeneracy
 from .geom import (Iso, dist_point_polygon_boundary, dist_point_seg,
                    point_in_polygon, polygon_signed_area,
                    seg_seg_proper_cross)
@@ -31,7 +34,6 @@ class Cut:
     length: float     # dist(source, C)
     angle: float      # raw atlas angle of the initial direction
     unwrapped: float  # monotone angle in [a_0, a_0 + theta_source]
-    path: object      # GeodesicPath
 
 
 class StarUnfolding:
@@ -44,7 +46,7 @@ class StarUnfolding:
         kwargs = {"eps_tie": eps_tie}
         if budget is not None:
             kwargs["budget"] = budget
-        self.atlas = DirectionAtlas(surface, source)
+        self.atlas = DirectionAtlas.at(surface, source)
         self.theta_source = self.atlas.total
 
         tied = paths_to_cone_points(surface, source, **kwargs)
@@ -55,7 +57,7 @@ class StarUnfolding:
             shortest = paths[0].length
             pick = min((g for g in paths if g.length <= shortest + eps_tie),
                        key=lambda g: g.init_t)
-            cuts.append(Cut(vid, pick.length, pick.init_t, 0.0, pick))
+            cuts.append(Cut(vid, pick.length, pick.init_t, 0.0))
         anchor_vid = min(c.vid for c in cuts)
         a0 = next(c.angle for c in cuts if c.vid == anchor_vid)
         theta = self.theta_source
@@ -136,6 +138,20 @@ class StarUnfolding:
             poly.append(self.source_images[n])
         self.polygon = poly[::-1]
         self.signed_area = polygon_signed_area(self.polygon)
+
+    def voronoi(self):
+        """Voronoi diagram of the source images (scipy.spatial.Voronoi).
+
+        Clipped to the star polygon it is the cut locus of the source
+        (Aronov-O'Rourke), so its vertices are the only candidates for the
+        circumcenters of good triples.
+        """
+        try:
+            return Voronoi(np.array(self.source_images))
+        except QhullError as exc:
+            raise VoronoiDegeneracy(
+                f"qhull failed on {self.n_images} source images: "
+                f"{str(exc).splitlines()[0]}") from exc
 
     # -- geometric predicates ----------------------------------------------
 

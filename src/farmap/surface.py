@@ -69,6 +69,8 @@ class ConeSurface:
         if antipodal_face is not None:
             self._derive_vertex_antipodes()
         self._diameter = None
+        # vid -> DirectionAtlas, filled on demand by DirectionAtlas.at
+        self.cone_atlases = {}
 
     # -- construction helpers -------------------------------------------
 

@@ -1,8 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from farmap import presets
 from farmap.cutlocus import build_regions, region_isometries
+
+# property tests draw the same examples on every run and keep no database
+settings.register_profile("farmap", derandomize=True, deadline=None,
+                          database=None)
+settings.load_profile("farmap")
 
 
 @pytest.fixture(scope="session")

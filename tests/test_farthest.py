@@ -1,14 +1,20 @@
 import math
+from itertools import combinations
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from farmap import presets
+from farmap.errors import VoronoiDegeneracy
 from farmap.farthest import (evaluate_f, good_triples, radius,
                              triple_conditions, write_batch_csv)
 from farmap.geodesics import distance, minimizers
 from farmap.oracle import oracle_distance_field
-from farmap.star_unfold import unfold
-from farmap.surface import SurfacePoint
+from farmap.star_unfold import StarUnfolding, unfold
+from farmap.surface import SurfacePoint, build_from_vertices
 
 
 def test_good_triple_bound(octa, cube, perturbed, fresh_rng):
@@ -181,3 +187,100 @@ def test_batch_csv(tmp_path, octa, fresh_rng):
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "face,u,v,radius,count,provenance"
     assert len(lines) == 6
+
+
+def _random_symmetric_polytope(seed, half):
+    """K = 2*half cone points: normalized Gaussian directions, mirrored."""
+    v = np.random.default_rng(seed).normal(size=(half, 3))
+    v /= np.linalg.norm(v, axis=1)[:, None]
+    return build_from_vertices(np.vstack([v, -v]))
+
+
+def _brute_force_good_triples(u):
+    """Reference: every one of the C(K, 3) image triples tested."""
+    found = (triple_conditions(u, t)
+             for t in combinations(range(u.n_images), 3))
+    return [g for g in found if g is not None]
+
+
+def _assert_same_triples(u):
+    got = [(g.indices, g.center, g.radius) for g in good_triples(u)]
+    want = [(g.indices, g.center, g.radius)
+            for g in _brute_force_good_triples(u)]
+    assert got == want
+
+
+@given(seed=st.integers(0, 3), half=st.integers(3, 10),
+       point_seed=st.integers(0, 2 ** 32 - 1), at_cone=st.booleans())
+def test_voronoi_good_triples_match_brute_force(seed, half, point_seed,
+                                                at_cone):
+    s = _random_symmetric_polytope(seed, half)
+    rng = np.random.default_rng(point_seed)
+    if at_cone:
+        vids = sorted(s.vertex_cycles)
+        src = s.vertex_point(vids[int(rng.integers(len(vids)))])
+    else:
+        src = s.random_point(rng)
+    _assert_same_triples(unfold(s, src))
+
+
+NEAR_COCIRCULAR = ("regular-octahedron", "cube", "antiprism:h=0.9",
+                   "antiprism:h=1.9", "perturbed-octahedron:seed=1")
+
+
+@given(name=st.sampled_from(NEAR_COCIRCULAR), face=st.integers(0, 11),
+       log_offset=st.integers(-12, -2), angle=st.floats(0.0, 2 * math.pi))
+def test_voronoi_good_triples_near_cocircular(name, face, log_offset,
+                                              angle):
+    """Sources at and next to face centers, where on the symmetric presets
+    four or more source images are (nearly) cocircular."""
+    s = presets.make(name)
+    f = face % s.n_faces
+    c = np.mean(s.corners[f], axis=0)
+    r = 10.0 ** log_offset * s.chart_scale
+    for p in (SurfacePoint(f, c[0], c[1]),
+              SurfacePoint(f, c[0] + r * math.cos(angle),
+                           c[1] + r * math.sin(angle))):
+        _assert_same_triples(unfold(s, p))
+
+
+@pytest.mark.parametrize("name", NEAR_COCIRCULAR)
+def test_voronoi_good_triples_cone_sources(name):
+    s = presets.make(name)
+    for vid in sorted(s.vertex_cycles):
+        _assert_same_triples(unfold(s, s.vertex_point(vid)))
+
+
+def test_collinear_images_raise_typed_error():
+    line = SimpleNamespace(source_images=[(float(i), 0.0) for i in range(5)],
+                           n_images=5)
+    with pytest.raises(VoronoiDegeneracy):
+        StarUnfolding.voronoi(line)
+
+
+def test_result_unfolding_rebuilds_identically(perturbed, fresh_rng):
+    r = fresh_rng(9)
+    for _ in range(3):
+        res = evaluate_f(perturbed, perturbed.random_point(r))
+        u = unfold(perturbed, res.source)
+        rebuilt = res.unfolding
+        assert rebuilt is not u
+        assert rebuilt.polygon == u.polygon
+        assert rebuilt.source_images == u.source_images
+        assert rebuilt.cone_images == u.cone_images
+        assert rebuilt.cuts == u.cuts
+        assert res.unfolding is rebuilt
+    supplied = unfold(perturbed, perturbed.antipode(res.source))
+    assert evaluate_f(perturbed, res.source,
+                      unfolding=supplied).unfolding is supplied
+
+
+def test_tie_width_does_not_change_radius():
+    """A wide reporting tie width must not widen the unfolding's cut
+    choice: a cut picked among near-ties can be longer than the distance
+    to its cone point, and its length is then no radius."""
+    s = _random_symmetric_polytope(2, 10)
+    p = s.random_point(np.random.default_rng([1, 0, 2]))
+    narrow = evaluate_f(s, p)
+    wide = evaluate_f(s, p, eps_tie=0.0925)
+    assert wide.radius == narrow.radius

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from farmap.errors import SearchBudgetExceeded
-from farmap.geodesics import distance, lunes, minimizers, paths_to_cone_points
+from farmap.geodesics import (DirectionAtlas, distance, lunes, minimizers,
+                              paths_to_cone_points)
 from farmap.oracle import oracle_distance_field
 from farmap.surface import SurfacePoint
 
@@ -231,3 +232,15 @@ def test_paths_to_cone_points_complete(perturbed, fresh_rng):
         assert paths
         assert paths[0].length == pytest.approx(
             distance(perturbed, p, perturbed.vertex_point(vid)), abs=1e-12)
+
+
+def test_cone_point_atlas_is_built_once(perturbed):
+    for vid in sorted(perturbed.vertex_cycles):
+        q = perturbed.vertex_point(vid)
+        kept = DirectionAtlas.at(perturbed, q)
+        assert DirectionAtlas.at(perturbed, q) is kept
+        fresh = DirectionAtlas(perturbed, q)
+        assert (kept.sectors, kept.total) == (fresh.sectors, fresh.total)
+    p = perturbed.random_point(np.random.default_rng(0))
+    assert DirectionAtlas.at(perturbed, p) is not \
+        DirectionAtlas.at(perturbed, p)
