@@ -5,7 +5,8 @@ certification of limit points.
 
 Residual fields are sampled on a grid over the region chart, zero contours
 extracted by marching squares, crossings refined by bisection, and every
-retained sample validated against the exact farthest-point evaluator.
+retained sample validated on the star polygon that the region's fitted
+isometries give at it.
 """
 
 import math
@@ -14,15 +15,20 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import (AllTranslations, CompositionIsTranslation, NoSolution)
+from .errors import (AllTranslations, CompositionIsTranslation,
+                     FitDegenerate, NoSolution)
 from .cutlocus import _cell_transform
-from .farthest import evaluate_f
+from .farthest import evaluate_f, max_good_radius, triple_conditions
 from .geom import aff, aff_mul, glide_decomposition, point_in_polygon
 from .star_unfold import unfold
 
 MULTI_VALUED = "multi-valued"
 LIMIT = "limit"
 NEITHER = "neither"
+
+# largest isometry-fit residual (x diameter) under which a region's curve
+# samples are classified on the polygon its isometries give
+FIT_TOL = 1e-9
 
 
 # -- rational circumcenter maps ---------------------------------------------
@@ -415,6 +421,12 @@ def trace_curves(surface, region, resolution=512, *, eps_tie=None,
         validate_spacing = diam / 120.0
     if region.isometries is None:
         raise ValueError("region isometries must be fitted first")
+    # samples are classified on the star polygon the fitted isometries
+    # give, which is only as exact as the fit (residuals seen: <= 1.4e-13)
+    if not region.fit_residual <= FIT_TOL * diam:
+        raise FitDegenerate(
+            f"region {region.rid}: isometry fit residual "
+            f"{region.fit_residual:.3g} exceeds {FIT_TOL:g} x diameter")
     # one errstate for every field evaluation, grid and scalar alike: a
     # vanishing circumcenter denominator gives inf, not a warning
     with np.errstate(all="ignore"):
@@ -577,7 +589,9 @@ def _make_curve(region, eq, full, run):
     smp = [full[i] for i in run]
     pts = [s.xy for s in smp]
     labels = [s.label for s in smp]
-    label = max(set(labels), key=labels.count)
+    # a tie between label counts goes to the first in sorted order, not
+    # to the order of string hashes
+    label = max(sorted(set(labels)), key=labels.count)
     return ClassifiedCurve(region.rid, eq.kind, eq.data, pts, label, smp)
 
 
@@ -589,24 +603,26 @@ def _classify_sample(surface, region, eq, xy, eps_tie, eps_curve, eps_fix):
     comes from the region's own rational maps (on a Type-1 curve the two
     circumcenters either split into distinct farthest points or coincide,
     and the coinciding point is a limit point iff the map fixes it).
+    Goodness and d(p) are decided on the star polygon that the region's
+    isometries give at the sample, which `trace_curves` has checked
+    against the fit residual.
     """
-    from .farthest import triple_conditions
     resid = abs(eq.field_fn(*xy))
     val = eq.value_fn(*xy)
     tol_d = max(20 * eps_curve, 2 * eps_tie)
-    # cone distances bound d(p) from below for free: an equation value
-    # under that bound can never satisfy the d-consistency rule
+    # the cone distances are the cut lengths, whose maximum bounds d(p)
+    # from below: an equation value under that bound can never satisfy the
+    # d-consistency rule
     d_lo = max(_cone_distance(region, n, *xy)
                for n in range(len(region.isometries)))
     if resid > 10 * eps_curve or val < d_lo - tol_d:
         return CurveSample(xy, False, NEITHER, resid, math.inf)
     try:
-        sp = region.chart_inverse(xy)
+        region.chart_inverse(xy)
     except KeyError:
         return CurveSample(xy, False, NEITHER, resid, math.inf)
-    u = unfold(surface, surface.antipode(sp))
-    res = evaluate_f(surface, sp, eps_tie=eps_tie, unfolding=u)
-    d_gap = abs(val - res.radius)
+    u = region.star_polygon(surface, xy)
+    d_gap = abs(val - max(max_good_radius(u), d_lo))
     if d_gap > tol_d:
         return CurveSample(xy, False, NEITHER, resid, d_gap)
 

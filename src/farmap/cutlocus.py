@@ -19,7 +19,7 @@ from .errors import ArrangementDegeneracy, FitDegenerate
 from .geom import (Iso, dist_point_seg, fit_reversing_isometry,
                    point_in_polygon, polygon_signed_area,
                    seg_seg_intersection)
-from .star_unfold import unfold
+from .star_unfold import StarPolygon, unfold
 from .surface import SurfacePoint
 
 
@@ -347,6 +347,19 @@ class Region:
             if _in_poly_tol(uv, poly):
                 return SurfacePoint(face, uv[0], uv[1])
         raise KeyError("planar point is not in this region")
+
+    def star_polygon(self, surface, xy):
+        """Star polygon of phi(q) for the point q at chart position xy, in
+        the region plane: source images I_n(xy), cone images C_n, in the
+        index order of the fitted unfoldings."""
+        # plain floats: the fitted parameters are numpy scalars, whose
+        # arithmetic would slow every predicate on the polygon
+        imgs = []
+        for iso in self.isometries:
+            x, y = iso.apply(xy)
+            imgs.append((float(x), float(y)))
+        cones = [(float(x), float(y)) for x, y in self.cone_constants]
+        return StarPolygon(surface, imgs, cones)
 
     def contains_planar(self, xy, margin=0.0):
         if not point_in_polygon(xy, self.polygon):

@@ -109,6 +109,20 @@ def triple_conditions(u, triple, *, eps=None, slack=None):
     return GoodTriple((i, j, k), c, r)
 
 
+def _voronoi_candidates(u):
+    """Index triples among the nearest source images of some Voronoi
+    vertex: the only triples whose circumcenter can be a good one."""
+    vor = u.voronoi()
+    d = np.linalg.norm(vor.vertices[:, None, :] - vor.points[None, :, :],
+                       axis=2)
+    nearest = d <= d.min(axis=1, keepdims=True) + \
+        VORONOI_MERGE * u.surface.chart_scale
+    candidates = set()
+    for row in nearest:
+        candidates.update(combinations(np.flatnonzero(row).tolist(), 3))
+    return candidates
+
+
 def good_triples(u, eps=None):
     """All good triples of the unfolding, in lexicographic index order.
 
@@ -119,20 +133,31 @@ def good_triples(u, eps=None):
     no circumcenter and are skipped; centers on the polygon boundary
     (within eps) fail the interior condition.
     """
-    vor = u.voronoi()
-    d = np.linalg.norm(vor.vertices[:, None, :] - vor.points[None, :, :],
-                       axis=2)
-    nearest = d <= d.min(axis=1, keepdims=True) + \
-        VORONOI_MERGE * u.surface.chart_scale
-    candidates = set()
-    for row in nearest:
-        candidates.update(combinations(np.flatnonzero(row).tolist(), 3))
     out = []
-    for triple in sorted(candidates):
+    for triple in sorted(_voronoi_candidates(u)):
         g = triple_conditions(u, triple, eps=eps)
         if g is not None:
             out.append(g)
     return out
+
+
+def max_good_radius(u):
+    """max(g.radius for g in good_triples(u)), or -inf without a good
+    triple, testing the candidates by decreasing circumradius and stopping
+    at the first good one. The radius is computed as in
+    `triple_conditions`, so the two agree bit for bit."""
+    imgs = u.source_images
+    ranked = []
+    for triple in _voronoi_candidates(u):
+        i, j, k = triple
+        c = circumcenter(imgs[i], imgs[j], imgs[k])
+        if c is not None:
+            ranked.append((math.dist(c, imgs[i]), triple))
+    ranked.sort(reverse=True)
+    for r, triple in ranked:
+        if triple_conditions(u, triple) is not None:
+            return r
+    return -math.inf
 
 
 def evaluate_f(surface, p, *, eps_tie=None, budget=None, unfolding=None):

@@ -12,6 +12,9 @@ interior angle equals the full cone angle.
 
 Index 1 is anchored at the cut to the smallest cone-point id, so the
 indexing is constant on each region of the cut-locus decomposition.
+`StarPolygon` holds the images and the predicates on the polygon; a
+region builds one from its fitted isometries, with no geodesic search
+(`cutlocus.Region.star_polygon`).
 """
 
 import math
@@ -21,9 +24,7 @@ import numpy as np
 from scipy.spatial import QhullError, Voronoi
 
 from .errors import CutDegeneracy, OutsidePolygon, VoronoiDegeneracy
-from .geom import (Iso, dist_point_polygon_boundary, dist_point_seg,
-                   point_in_polygon, polygon_signed_area,
-                   seg_seg_proper_cross)
+from .geom import Iso, polygon_signed_area
 from .geodesics import DirectionAtlas, paths_to_cone_points, trace_ray
 from .surface import TWO_PI
 
@@ -36,9 +37,134 @@ class Cut:
     unwrapped: float  # monotone angle in [a_0, a_0 + theta_source]
 
 
-class StarUnfolding:
-    def __init__(self, surface, source, *, eps_tie=None, budget=None):
+class StarPolygon:
+    """The star polygon of a source, given by its source images
+    phi_1..phi_K and cone images C_1..C_K (cut n runs from phi_n to C_n),
+    with the predicates on it that good triples and fold-back need.
+
+    The predicates read a table of the polygon edges built once here; each
+    repeats the float operations of its `geom` counterpart in the same
+    order, so its decisions are those of the `geom` helpers.
+    """
+
+    def __init__(self, surface, source_images, cone_images):
         self.surface = surface
+        self.source_images = source_images
+        self.cone_images = cone_images
+        self.n_images = len(source_images)
+        # index order [C_1, phi_1, C_2, phi_2, ...] walks the boundary
+        # clockwise; store the reversal so the polygon is CCW
+        poly = []
+        for cone, phi in zip(cone_images, source_images):
+            poly.append(cone)
+            poly.append(phi)
+        self.polygon = poly[::-1]
+        # edge k: both endpoints verbatim (rebuilding one as start + vector
+        # would round), the edge vector, its length and its squared length
+        edges = []
+        n = len(self.polygon)
+        for k in range(n):
+            cx, cy = self.polygon[k]
+            dx, dy = self.polygon[(k + 1) % n]
+            sx, sy = dx - cx, dy - cy
+            edges.append((cx, cy, dx, dy, sx, sy, math.hypot(sx, sy),
+                          sx * sx + sy * sy))
+        self._edges = edges
+
+    def voronoi(self):
+        """Voronoi diagram of the source images (scipy.spatial.Voronoi).
+
+        Clipped to the star polygon it is the cut locus of the source
+        (Aronov-O'Rourke), so its vertices are the only candidates for the
+        circumcenters of good triples.
+        """
+        try:
+            return Voronoi(np.array(self.source_images))
+        except QhullError as exc:
+            raise VoronoiDegeneracy(
+                f"qhull failed on {self.n_images} source images: "
+                f"{str(exc).splitlines()[0]}") from exc
+
+    # -- geometric predicates ----------------------------------------------
+
+    def _inside(self, x, y):
+        """geom.point_in_polygon: edge k enters as the pair (vertex k+1,
+        vertex k)."""
+        inside = False
+        for xj, yj, xi, yi, _, _, _, _ in self._edges:
+            if (yi > y) != (yj > y):
+                if x < xi + (y - yi) / (yj - yi) * (xj - xi):
+                    inside = not inside
+        return inside
+
+    def boundary_distance(self, p):
+        """geom.dist_point_polygon_boundary."""
+        px, py = p
+        best = math.inf
+        for cx, cy, _, _, sx, sy, _, n2 in self._edges:
+            if n2 == 0.0:
+                g = math.hypot(px - cx, py - cy)
+            else:
+                t = ((px - cx) * sx + (py - cy) * sy) / n2
+                t = 0.0 if t < 0.0 else (1.0 if t > 1.0 else t)
+                g = math.hypot(px - cx - t * sx, py - cy - t * sy)
+            if g < best:
+                best = g
+        return best
+
+    def contains(self, a, clearance=0.0):
+        if not self._inside(a[0], a[1]):
+            return False
+        if clearance > 0.0:
+            return self.boundary_distance(a) > clearance
+        return True
+
+    def is_star_path(self, a, b, eps=None):
+        """Open segment (a, b) stays strictly inside the polygon.
+
+        Endpoints may lie on the boundary (e.g. at source images). Segments
+        grazing a polygon vertex within eps are rejected.
+        """
+        if eps is None:
+            eps = 1e-9 * self.surface.chart_scale
+        d = math.dist(a, b)
+        if d < eps:
+            return self.contains(a, clearance=0.0)
+        ax, ay = a
+        bx, by = b
+        if not self._inside((ax + bx) / 2, (ay + by) / 2):
+            return False
+        rx, ry = bx - ax, by - ay
+        lr = math.hypot(rx, ry)
+        n2 = rx * rx + ry * ry
+        for cx, cy, _, _, sx, sy, ls, _ in self._edges:
+            qx, qy = cx - ax, cy - ay
+            # geom.seg_seg_proper_cross(a, b, edge start, edge end, eps)
+            denom = rx * sy - ry * sx
+            if denom != 0.0 and lr != 0.0 and ls != 0.0:
+                t = (qx * sy - qy * sx) / denom
+                et = eps / lr
+                if et < t < 1.0 - et:
+                    u = (qx * ry - qy * rx) / denom
+                    eu = eps / ls
+                    if eu < u < 1.0 - eu:
+                        return False
+            # geom.dist_point_seg(edge start, a, b): a vertex within eps of
+            # the segment and not of its endpoints
+            if n2 == 0.0:
+                g = math.hypot(qx, qy)
+            else:
+                t = (qx * rx + qy * ry) / n2
+                t = 0.0 if t < 0.0 else (1.0 if t > 1.0 else t)
+                g = math.hypot(qx - t * rx, qy - t * ry)
+            if g < eps and math.dist((cx, cy), a) >= eps and \
+                    math.dist((cx, cy), b) >= eps:
+                return False
+        return True
+
+
+class StarUnfolding(StarPolygon):
+    def __init__(self, surface, source, *, eps_tie=None, budget=None):
         source = surface.canonical(source)
         self.source = source
         if eps_tie is None:
@@ -70,15 +196,19 @@ class StarUnfolding:
                     f"cuts to cone points {cuts[i].vid} and "
                     f"{cuts[i + 1].vid} share a direction")
         self.cuts = cuts
-        self.n_images = len(cuts)
-        self._develop()
+        super().__init__(surface, *self._develop(surface))
+        self.signed_area = polygon_signed_area(self.polygon)
+
+    # the star-path test is looked up in this class's own namespace by the
+    # benchmark's layer tracer (perfbench/tracing.py)
+    is_star_path = StarPolygon.is_star_path
 
     # -- polygon assembly --------------------------------------------------
 
-    def _develop(self):
-        surface = self.surface
+    def _develop(self, surface):
+        """Chain the wedge frames; returns (source images, cone images)."""
         cuts = self.cuts
-        k = self.n_images
+        k = len(cuts)
         theta = self.theta_source
         cone_theta = [surface.cone_points[surface.vid_to_cone[c.vid]].theta
                       for c in cuts]
@@ -127,66 +257,10 @@ class StarUnfolding:
                 f"unfolding failed to close (error {closure_err:.3g})")
         self.closure_error = closure_err
 
-        self.source_images = [tuple(w.apply((0.0, 0.0))) for w in wedges]
-        self.cone_images = [tuple(wedges[n].apply(local_cone(n)))
-                            for n in range(k)]
-        # index order [C_1, phi_1, C_2, phi_2, ...] walks the boundary
-        # clockwise; store the reversal so the polygon is CCW
-        poly = []
-        for n in range(k):
-            poly.append(self.cone_images[n])
-            poly.append(self.source_images[n])
-        self.polygon = poly[::-1]
-        self.signed_area = polygon_signed_area(self.polygon)
-
-    def voronoi(self):
-        """Voronoi diagram of the source images (scipy.spatial.Voronoi).
-
-        Clipped to the star polygon it is the cut locus of the source
-        (Aronov-O'Rourke), so its vertices are the only candidates for the
-        circumcenters of good triples.
-        """
-        try:
-            return Voronoi(np.array(self.source_images))
-        except QhullError as exc:
-            raise VoronoiDegeneracy(
-                f"qhull failed on {self.n_images} source images: "
-                f"{str(exc).splitlines()[0]}") from exc
-
-    # -- geometric predicates ----------------------------------------------
-
-    def contains(self, a, clearance=0.0):
-        if not point_in_polygon(a, self.polygon):
-            return False
-        if clearance > 0.0:
-            return dist_point_polygon_boundary(a, self.polygon) > clearance
-        return True
-
-    def is_star_path(self, a, b, eps=None):
-        """Open segment (a, b) stays strictly inside the polygon.
-
-        Endpoints may lie on the boundary (e.g. at source images). Segments
-        grazing a polygon vertex within eps are rejected.
-        """
-        if eps is None:
-            eps = 1e-9 * self.surface.chart_scale
-        d = math.dist(a, b)
-        if d < eps:
-            return self.contains(a, clearance=0.0)
-        mid = ((a[0] + b[0]) / 2, (a[1] + b[1]) / 2)
-        if not point_in_polygon(mid, self.polygon):
-            return False
-        poly = self.polygon
-        n = len(poly)
-        for i in range(n):
-            if seg_seg_proper_cross(a, b, poly[i], poly[(i + 1) % n], eps):
-                return False
-        for v in poly:
-            if math.dist(v, a) < eps or math.dist(v, b) < eps:
-                continue
-            if dist_point_seg(v, a, b) < eps:
-                return False
-        return True
+        source_images = [tuple(w.apply((0.0, 0.0))) for w in wedges]
+        cone_images = [tuple(wedges[n].apply(local_cone(n)))
+                       for n in range(k)]
+        return source_images, cone_images
 
     # -- developing map and its inverse -------------------------------------
 
@@ -236,8 +310,8 @@ class StarUnfolding:
 
     def fold_back(self, a, *, eps=None, with_transform=False, index=None):
         """Surface point whose developed image is a (strictly inside)."""
-        if not self.contains(a) or dist_point_polygon_boundary(
-                a, self.polygon) < 1e-12 * self.surface.chart_scale:
+        if not self.contains(a) or self.boundary_distance(
+                a) < 1e-12 * self.surface.chart_scale:
             raise OutsidePolygon(f"{a} is not strictly inside the polygon")
         if index is None:
             vis = self.visible_images(a, eps)

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (DegenerateHull, GluingMismatch, InvolutionNotIsometric,
-                     NotCentrallySymmetric)
+from .errors import (DegenerateHull, FarmapError, GluingMismatch,
+                     InvolutionNotIsometric, NotCentrallySymmetric)
 from .geom import Iso, ear_clip
 
 TWO_PI = 2.0 * math.pi
@@ -565,6 +565,10 @@ def build_from_gluing(spec, eps_rel=1e-9):
     """
     corners = [tuple(tuple(float(x) for x in pt) for pt in tri)
                for tri in spec["faces"]]
+    for f, tri in enumerate(corners):
+        if len(tri) != 3 or any(len(pt) != 2 for pt in tri):
+            raise FarmapError(f"net face {f} does not have three 2-D "
+                              f"corners")
     nf = len(corners)
     scale = max(math.dist(tri[i], tri[(i + 1) % 3])
                 for tri in corners for i in range(3))

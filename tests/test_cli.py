@@ -2,6 +2,8 @@ import json
 import math
 from pathlib import Path
 
+import pytest
+
 from farmap.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -44,6 +46,29 @@ def test_net_without_gluings_is_usage_error(tmp_path, octa):
     net = tmp_path / "net.json"
     net.write_text(json.dumps(spec))
     rc = main(["validate", "--input", str(net), "--out", str(tmp_path)])
+    assert rc == 1
+
+
+@pytest.mark.parametrize("face", [
+    [[0.0, 0.0], [1.0, 0.0]],
+    [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]],
+    [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]],
+    [[0.0], [1.0], [0.0]],
+])
+def test_net_face_without_three_2d_corners_is_usage_error(tmp_path, octa,
+                                                          face):
+    spec = octa.to_net_spec()
+    spec["faces"][0] = face
+    net = tmp_path / "net.json"
+    net.write_text(json.dumps(spec))
+    rc = main(["validate", "--input", str(net), "--out", str(tmp_path)])
+    assert rc == 1
+
+
+def test_non_numeric_vertices_is_usage_error(tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"vertices": [["a", 0, 0], [1, "b", 0]]}))
+    rc = main(["validate", "--input", str(bad), "--out", str(tmp_path)])
     assert rc == 1
 
 

@@ -1,15 +1,20 @@
 import math
+import os
+import subprocess
+import sys
 from itertools import combinations
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from farmap.curves import (LIMIT, MULTI_VALUED, NEITHER,
-                           active_from_displacement, build_rational_map,
-                           check_rational_representation, hyperbola_form,
-                           limit_line_solve, trace_curves)
+from farmap import cutlocus
+from farmap.curves import (LIMIT, MULTI_VALUED, NEITHER, CurveSample,
+                           _make_curve, active_from_displacement,
+                           build_rational_map, check_rational_representation,
+                           hyperbola_form, limit_line_solve, trace_curves)
 from farmap.dynamics import iterate
-from farmap.errors import NoSolution
+from farmap.errors import FitDegenerate, NoSolution
 from farmap.farthest import evaluate_f
 from farmap.geom import circumcenter
 
@@ -173,3 +178,69 @@ def test_limit_line_solve_collapsed_lines(octa, octa_regions):
     pts = limit_line_solve(region, 0, 1, level, inside_only=False)
     # one line for the larger glide, at most two for the other
     assert 1 <= len(pts) <= 2
+
+
+def test_tied_labels_resolve_by_sorted_order(octa_regions):
+    """A curve whose samples tie between labels takes the first label in
+    sorted order, whatever order the samples come in."""
+    region = octa_regions.regions[0]
+    for labels in ([LIMIT, MULTI_VALUED], [MULTI_VALUED, LIMIT],
+                   [NEITHER, MULTI_VALUED, MULTI_VALUED, NEITHER],
+                   [NEITHER, LIMIT, MULTI_VALUED]):
+        full = [CurveSample((float(i), 0.0), True, lab, 0.0, 0.0)
+                for i, lab in enumerate(labels)]
+        eq = SimpleNamespace(kind="type1", data=((0, 1, 2), (0, 1, 3)))
+        curve = _make_curve(region, eq, full, list(range(len(full))))
+        top = max(labels.count(lab) for lab in labels)
+        assert curve.label == min(lab for lab in labels
+                                  if labels.count(lab) == top)
+
+
+# perturbed-octahedron region 1 has a two-sample curve whose labels tie
+_TIE_SCRIPT = """
+from farmap import presets
+from farmap.cutlocus import build_regions, region_isometries
+from farmap.curves import trace_curves
+s = presets.make("perturbed-octahedron:seed=1")
+region = build_regions(s).regions[1]
+region_isometries(s, region)
+for c in trace_curves(s, region, resolution=48):
+    print(c.kind, c.data, c.label, len(c.polyline))
+"""
+
+
+def test_curve_labels_do_not_depend_on_string_hashing():
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    outs = []
+    for hash_seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                   PYTHONPATH=os.pathsep.join(
+                       p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        run = subprocess.run([sys.executable, "-c", _TIE_SCRIPT], env=env,
+                             capture_output=True, text=True, timeout=300,
+                             check=True)
+        outs.append(run.stdout)
+    assert outs[0]
+    assert outs[0] == outs[1]
+
+
+def test_trace_curves_rejects_a_bad_isometry_fit(octa, monkeypatch):
+    """One isometry fitted to a displaced source image leaves a fit
+    residual far above float noise; curve samples are not classified on
+    the polygon such a fit gives."""
+    fit = cutlocus.fit_reversing_isometry
+    calls = []
+
+    def corrupt_first(src, dst):
+        calls.append(1)
+        if len(calls) == 1:
+            dst = [list(p) for p in dst]
+            dst[0][0] += 1e-6 * octa.diameter
+        return fit(src, dst)
+
+    monkeypatch.setattr(cutlocus, "fit_reversing_isometry", corrupt_first)
+    region = cutlocus.build_regions(octa).regions[0]
+    cutlocus.region_isometries(octa, region)
+    assert region.fit_residual > 1e-9 * octa.diameter
+    with pytest.raises(FitDegenerate):
+        trace_curves(octa, region, resolution=16)

@@ -1,9 +1,12 @@
 import math
 
+import numpy as np
 import pytest
 
 from farmap import presets
-from farmap.cutlocus import build_regions, cut_locus, region_isometries
+from farmap.cutlocus import (_cell_transform, build_regions, cut_locus,
+                             region_isometries)
+from farmap.geom import polygon_signed_area
 from farmap.geodesics import minimizers
 from farmap.star_unfold import unfold
 
@@ -130,3 +133,39 @@ def test_perturbed_region_isometries(perturbed_regions, perturbed):
         assert region.fit_residual < 1e-8
         for iso in region.isometries:
             assert iso.det() == pytest.approx(-1.0, abs=1e-8)
+
+
+@pytest.mark.parametrize("name", ["octa", "perturbed"])
+def test_region_star_polygon_is_the_anchored_unfolding(name, request):
+    """At points off the fit samples, the star polygon a region builds from
+    its isometries is the exact unfolding moved into the region chart:
+    source images, cone images, cut lengths, index order and a CCW
+    boundary."""
+    s = request.getfixturevalue(name)
+    dec = request.getfixturevalue(f"{name}_regions")
+    tol = 1e-11 * s.diameter
+    checked = 0
+    for region in dec.regions:
+        cen = np.mean(region.polygon, axis=0)
+        for v in region.polygon:
+            xy = tuple(float(c) for c in cen + 0.45 * (np.array(v) - cen))
+            sp = region.chart_inverse(xy)
+            u = unfold(s, s.antipode(sp))
+            assert [c.vid for c in u.cuts] == region.cone_order
+            _, t_chart = u.dev_point(sp)
+            anchor = _cell_transform(region, sp).compose(t_chart.inverse())
+            poly = region.star_polygon(s, xy)
+            assert poly.n_images == u.n_images
+            for n in range(u.n_images):
+                assert math.dist(anchor.apply(u.source_images[n]),
+                                 poly.source_images[n]) < tol
+                assert math.dist(anchor.apply(u.cone_images[n]),
+                                 poly.cone_images[n]) < tol
+                assert abs(math.dist(poly.source_images[n],
+                                     poly.cone_images[n])
+                           - u.cuts[n].length) < tol
+            assert polygon_signed_area(poly.polygon) == pytest.approx(
+                u.signed_area, abs=tol)
+            assert u.signed_area > 0
+            checked += 1
+    assert checked >= 3 * len(dec.regions)

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from farmap import presets
 from farmap.errors import VoronoiDegeneracy
-from farmap.farthest import (evaluate_f, good_triples, radius,
-                             triple_conditions, write_batch_csv)
+from farmap.farthest import (evaluate_f, good_triples, max_good_radius,
+                             radius, triple_conditions, write_batch_csv)
 from farmap.geodesics import distance, minimizers
 from farmap.oracle import oracle_distance_field
 from farmap.star_unfold import StarUnfolding, unfold
@@ -284,3 +284,35 @@ def test_tie_width_does_not_change_radius():
     narrow = evaluate_f(s, p)
     wide = evaluate_f(s, p, eps_tie=0.0925)
     assert wide.radius == narrow.radius
+
+
+def _assert_max_good_radius(u):
+    want = max((g.radius for g in good_triples(u)), default=-math.inf)
+    assert max_good_radius(u) == want
+
+
+@given(seed=st.integers(0, 3), half=st.integers(3, 10),
+       point_seed=st.integers(0, 2 ** 32 - 1), at_cone=st.booleans())
+def test_max_good_radius_matches_good_triples(seed, half, point_seed,
+                                              at_cone):
+    s = _random_symmetric_polytope(seed, half)
+    rng = np.random.default_rng(point_seed)
+    if at_cone:
+        vids = sorted(s.vertex_cycles)
+        src = s.vertex_point(vids[int(rng.integers(len(vids)))])
+    else:
+        src = s.random_point(rng)
+    _assert_max_good_radius(unfold(s, src))
+
+
+@given(name=st.sampled_from(NEAR_COCIRCULAR), face=st.integers(0, 11),
+       log_offset=st.integers(-12, -2), angle=st.floats(0.0, 2 * math.pi))
+def test_max_good_radius_near_cocircular(name, face, log_offset, angle):
+    s = presets.make(name)
+    f = face % s.n_faces
+    c = np.mean(s.corners[f], axis=0)
+    r = 10.0 ** log_offset * s.chart_scale
+    for p in (SurfacePoint(f, c[0], c[1]),
+              SurfacePoint(f, c[0] + r * math.cos(angle),
+                           c[1] + r * math.sin(angle))):
+        _assert_max_good_radius(unfold(s, p))

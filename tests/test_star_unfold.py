@@ -5,7 +5,9 @@ import pytest
 
 from farmap.errors import OutsidePolygon
 from farmap.geodesics import distance
-from farmap.geom import polygon_is_simple
+from farmap.geom import (dist_point_polygon_boundary, dist_point_seg,
+                         point_in_polygon, polygon_is_simple,
+                         seg_seg_proper_cross)
 from farmap.surface import SurfacePoint
 from farmap.star_unfold import unfold
 
@@ -128,3 +130,94 @@ def test_fold_segment_is_isometric(octa, fresh_rng):
         pieces = u.fold_segment(a, b)
         total = sum(math.dist(p0, p1) for _, p0, p1 in pieces)
         assert total == pytest.approx(math.dist(a, b), rel=1e-6)
+
+
+def _ref_contains(poly, a, clearance=0.0):
+    if not point_in_polygon(a, poly):
+        return False
+    if clearance > 0.0:
+        return dist_point_polygon_boundary(a, poly) > clearance
+    return True
+
+
+def _ref_is_star_path(poly, a, b, eps):
+    """The star-path test written with the geom helpers."""
+    if math.dist(a, b) < eps:
+        return _ref_contains(poly, a)
+    mid = ((a[0] + b[0]) / 2, (a[1] + b[1]) / 2)
+    if not point_in_polygon(mid, poly):
+        return False
+    n = len(poly)
+    if any(seg_seg_proper_cross(a, b, poly[i], poly[(i + 1) % n], eps)
+           for i in range(n)):
+        return False
+    for v in poly:
+        if math.dist(v, a) < eps or math.dist(v, b) < eps:
+            continue
+        if dist_point_seg(v, a, b) < eps:
+            return False
+    return True
+
+
+def _test_segments(u, s, rng, eps):
+    """Random segments, segments from interior points to every polygon
+    vertex (an endpoint on the boundary), boundary chords, segments of
+    length under eps, and lines through a vertex shifted sideways by
+    multiples of eps (grazing the vertex, or just missing it)."""
+    poly = u.polygon
+    lo = np.min(poly, axis=0) - 0.1 * s.chart_scale
+    hi = np.max(poly, axis=0) + 0.1 * s.chart_scale
+
+    def pt(xy):
+        return (float(xy[0]), float(xy[1]))
+
+    inner = [u.dev_point(s.random_point(rng))[0] for _ in range(4)]
+    for _ in range(40):
+        yield pt(rng.uniform(lo, hi)), pt(rng.uniform(lo, hi))
+    for a in inner:
+        for v in poly:
+            yield a, v
+        yield a, (a[0] + 0.3 * eps, a[1] - 0.2 * eps)
+    for _ in range(20):
+        i, j = rng.choice(len(poly), size=2, replace=False)
+        yield poly[i], poly[j]
+    for v in poly:
+        ang = rng.uniform(0.0, 2 * math.pi)
+        d = (math.cos(ang), math.sin(ang))
+        for shift in (0.0, 0.5, 0.999, 1.001, 3.0):
+            off = (-d[1] * shift * eps, d[0] * shift * eps)
+            la, lb = rng.uniform(0.01, 0.5, size=2) * s.chart_scale
+            yield ((v[0] + off[0] + la * d[0], v[1] + off[1] + la * d[1]),
+                   (v[0] + off[0] - lb * d[0], v[1] + off[1] - lb * d[1]))
+
+
+def test_table_predicates_match_geom_reference(octa, cube, perturbed,
+                                               fresh_rng):
+    """is_star_path, contains and boundary_distance read a per-polygon
+    edge table; their decisions and distances equal the geom helpers'
+    bit for bit."""
+    r = fresh_rng(8)
+    outcomes = set()
+    for s in (octa, cube, perturbed):
+        eps = 1e-9 * s.chart_scale
+        for _ in range(3):
+            u = unfold(s, s.random_point(r))
+            poly = u.polygon
+            for a, b in _test_segments(u, s, r, eps):
+                want = _ref_is_star_path(poly, a, b, eps)
+                assert u.is_star_path(a, b) == want
+                assert u.is_star_path(a, b, 10 * eps) == \
+                    _ref_is_star_path(poly, a, b, 10 * eps)
+                outcomes.add(want)
+                # the horizontal through a vertex probes the parity rule at
+                # its rounding-sensitive crossings
+                level = [(p[0] + dx * s.chart_scale, p[1])
+                         for p in (a, b) for dx in (-0.3, 0.0, 0.3)]
+                for p in [a, b, ((a[0] + b[0]) / 2, (a[1] + b[1]) / 2)] + \
+                        level:
+                    assert u.boundary_distance(p) == \
+                        dist_point_polygon_boundary(p, poly)
+                    for clearance in (0.0, eps, 0.01 * s.chart_scale):
+                        assert u.contains(p, clearance) == \
+                            _ref_contains(poly, p, clearance)
+    assert outcomes == {True, False}
