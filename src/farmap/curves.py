@@ -844,7 +844,11 @@ def check_rational_representation(surface, region, curves, *,
     per_comp = max(1, n_samples // max(1, len(by_comp)))
     for c, samples in sorted(by_comp.items()):
         formula = None
-        for xy in samples[:per_comp]:
+        # spread over the component: its first points in lattice order
+        # sit in one corner, and a component that wrongly spans a curve
+        # shows it only across its extent
+        n = min(per_comp, len(samples))
+        for xy in (samples[k * len(samples) // n] for k in range(n)):
             try:
                 sp = region.chart_inverse(xy)
             except KeyError:

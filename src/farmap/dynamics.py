@@ -55,7 +55,7 @@ def _select(surface, result):
 
 
 def iterate(surface, p0, max_steps=500, eps_conv=None, *, eps_tie=None,
-            budget=None, k_conv=K_CONV):
+            k_conv=K_CONV):
     """Follow the orbit of f from p0 until K_CONV consecutive steps are
     shorter than eps_conv, or the step budget runs out.
 
@@ -76,7 +76,7 @@ def iterate(surface, p0, max_steps=500, eps_conv=None, *, eps_tie=None,
     limit = None
     converged_step = None
     for n in range(max_steps):
-        res = evaluate_f(surface, p, eps_tie=eps_tie, budget=budget)
+        res = evaluate_f(surface, p, eps_tie=eps_tie)
         if radii and res.radius < radii[-1] - eps_tie:
             raise MonotonicityViolation(
                 f"radius dropped from {radii[-1]!r} to {res.radius!r} "

@@ -9,7 +9,7 @@ vertices are tested.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from itertools import combinations
 
 import numpy as np
@@ -44,13 +44,17 @@ class FarthestPoint:
 class FarthestResult:
     surface: object
     source: object          # phi(p), the unfolding source
-    good: list              # all good triples
     m1: float
     m2: float
     radius: float
     points: list            # FarthestPoint entries, deduplicated
-    budget: object = None   # search budget the unfolding was built with
+    # all good triples: kept when passed, else rebuilt on access (`good`)
+    good: InitVar[list] = None
+    _good: list = field(default=None, init=False, repr=False, compare=False)
     _unfolding: object = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self, good):
+        self._good = good
 
     @property
     def unfolding(self):
@@ -58,22 +62,22 @@ class FarthestResult:
         it, it is rebuilt on first access (`unfold` is deterministic), so
         that a kept result does not pin the whole unfolding."""
         if self._unfolding is None:
-            self._unfolding = unfold(self.surface, self.source,
-                                     budget=self.budget)
+            self._unfolding = unfold(self.surface, self.source)
         return self._unfolding
 
-    def active_indices(self, fp, slack=None):
-        """Source-image indices whose distance to fp's planar image is
-        minimal and whose segment is a star path (the minimizers)."""
-        u = self.unfolding
-        if slack is None:
-            slack = u.surface.eps_tie
-        out = []
-        for n, phi in enumerate(u.source_images):
-            if math.dist(phi, fp.center) <= fp.distance + slack and \
-                    u.is_star_path(fp.center, phi):
-                out.append(n)
-        return out
+
+def _result_good(result):
+    """All good triples of the result's unfolding, in lexicographic index
+    order, rebuilt on first access like the unfolding itself, so that a
+    kept result does not pin ~K of them."""
+    if result._good is None:
+        result._good = good_triples(result.unfolding)
+    return result._good
+
+
+# a property, not a field: `good` is also the init argument, so that
+# dataclasses.replace(result, good=...) keeps working
+FarthestResult.good = property(_result_good)
 
 
 def triple_conditions(u, triple, *, eps=None, slack=None):
@@ -160,7 +164,7 @@ def max_good_radius(u):
     return -math.inf
 
 
-def evaluate_f(surface, p, *, eps_tie=None, budget=None, unfolding=None):
+def evaluate_f(surface, p, *, eps_tie=None, unfolding=None):
     """All farthest points from phi(p), with the radius d(p).
 
     Ties within eps_tie emit every candidate: f is genuinely multi-valued
@@ -169,13 +173,13 @@ def evaluate_f(surface, p, *, eps_tie=None, budget=None, unfolding=None):
     cut choice, since a cut picked among wider near-ties can be longer
     than the distance to its cone point. A caller that needs the
     unfolding afterwards passes its own as `unfolding`, which the result
-    keeps.
+    keeps, with its good triples.
     """
     if eps_tie is None:
         eps_tie = surface.eps_tie
     u = unfolding
     if u is None:
-        u = unfold(surface, surface.antipode(p), budget=budget)
+        u = unfold(surface, surface.antipode(p))
     gts = good_triples(u)
     m1 = max((g.radius for g in gts), default=-math.inf)
     m2 = max(c.length for c in u.cuts)
@@ -202,21 +206,11 @@ def evaluate_f(surface, p, *, eps_tie=None, budget=None, unfolding=None):
                 pt = surface.vertex_point(cut.vid)
                 points.append(FarthestPoint(pt, "cone", u.cone_images[n],
                                             cut.length, (n,)))
-    return FarthestResult(surface, u.source, gts, m1, m2, radius, points,
-                          budget, unfolding)
+    return FarthestResult(surface, u.source, m1, m2, radius, points,
+                          gts if unfolding is not None else None,
+                          _unfolding=unfolding)
 
 
 def radius(surface, p, **kwargs):
     """d(p): distance from p to its farthest points."""
     return evaluate_f(surface, p, **kwargs).radius
-
-
-def write_batch_csv(surface, points, path, **kwargs):
-    """Batch-evaluate f over points and dump one CSV row per input."""
-    with open(path, "w") as fh:
-        fh.write("face,u,v,radius,count,provenance\n")
-        for p in points:
-            res = evaluate_f(surface, p, **kwargs)
-            prov = "+".join(sorted({fp.provenance for fp in res.points}))
-            fh.write(f"{p.face},{p.u:.12g},{p.v:.12g},"
-                     f"{res.radius:.12g},{len(res.points)},{prov}\n")

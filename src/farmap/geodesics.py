@@ -5,17 +5,29 @@ origin and initial directions equal angles of the source's direction atlas.
 States carry a window (the visible interval of the entered edge); windows
 are clipped by the visibility cone through all previous windows, which
 discards paths through cone points (they are never minimizers).
+
+Point-to-point queries (`distance`, `minimizers`) run this expansion
+best-first from the source. Paths to the cone points, which every star
+unfolding needs, come from one shortest-path map per cone point
+(`ConeMap`): the expansion run once from the cone point and kept per face,
+over which a query runs the target test on its point.
 """
 
 import heapq
+import itertools
 import math
+from array import array
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import SearchBudgetExceeded
 from .geom import Iso, dist_point_seg, seg_seg_intersection
 from .surface import SurfacePoint, TWO_PI
 
 DEFAULT_BUDGET = 10 ** 6
+# paths_to_cone_points: an atlas angle this close below the total is the
+# seam direction 0
+SEAM = 1e-12
 
 
 class DirectionAtlas:
@@ -196,67 +208,76 @@ def _cross(ax, ay, bx, by):
     return ax * by - ay * bx
 
 
-def _targets_for_point(surface, q):
-    """All chart representations of q, tagged 0."""
+def _target_copies(surface, q):
+    """Every chart representation of q as {face: [uv, ...]}, and the graze
+    length of the target test: 1e-6 * chart_scale for a cone point, else 0.
+
+    A candidate whose tiny final stretch ends essentially at a window
+    endpoint grazes the cone point at that endpoint. For a cone-point
+    target that is the same path as one through the shorter chain (the
+    cone point has a copy on every face around it), so it is dropped. Any
+    other target has no such copy, and the path must be kept.
+    """
     out = {}
     kind, info = surface.classify(q)
     if kind == "interior":
-        out.setdefault(q.face, []).append((0, q.uv))
+        out[q.face] = [q.uv]
     elif kind == "edge":
         f, e = info
-        out.setdefault(f, []).append((0, q.uv))
+        out.setdefault(f, []).append(q.uv)
         f2, uv2 = surface.transport(f, e, q.uv)
-        out.setdefault(f2, []).append((0, uv2))
+        out.setdefault(f2, []).append(uv2)
     else:
         for f, c in surface.vertex_cycles[info]:
-            out.setdefault(f, []).append((0, surface.corners[f][c]))
-    return out
+            out.setdefault(f, []).append(surface.corners[f][c])
+    graze = 1e-6 * surface.chart_scale if kind == "vertex" else 0.0
+    return out, graze
 
 
-def _targets_for_vertices(surface, vids):
-    out = {}
-    for vid in vids:
-        for f, c in surface.vertex_cycles[vid]:
-            out.setdefault(f, []).append((vid, surface.corners[f][c]))
-    return out
+def _sector_hit(t_iso, t0, t1, tuv, tol):
+    """Target test of a start state: (length, image) of the target at
+    chart point tuv if its direction lies in the sector [t0, t1]."""
+    q_img = t_iso.apply(tuv)
+    d = math.hypot(*q_img)
+    if d > tol:
+        ang = math.atan2(q_img[1], q_img[0]) % TWO_PI
+        width = t1 - t0
+        local = (ang - t0 % TWO_PI) % TWO_PI
+        if local <= width + 1e-9 or local >= TWO_PI - 1e-9:
+            return d, q_img
+    return None
 
 
-def _search(surface, p, targets, tags, *, all_ties, eps_tie, budget):
-    """Best-first unfolding search from p to every tagged target.
+def _window_hit(q_img, d, wa, wb, tol, graze):
+    """Target test of a state: the segment from the origin to the target
+    image q_img (of length d) crosses the window (wa, wb) away from its
+    ends, and not within tol of the origin."""
+    hit = seg_seg_intersection((0.0, 0.0), q_img, wa, wb)
+    if hit is None:
+        return False
+    t, u = hit
+    # absolute at the origin: a source within ~1e-8 of the window's edge
+    # crosses it at a tiny t that is still a genuine crossing
+    if t * d < tol or t > 1.0 + 1e-9:
+        return False
+    stretch = max(0.0, (1.0 - t)) * d
+    if stretch < graze:
+        end_gap = min(math.dist(q_img, wa), math.dist(q_img, wb))
+        if end_gap < 10.0 * stretch + 100.0 * tol:
+            return False
+    wlen = math.dist(wa, wb)
+    u_eps = tol / wlen if wlen > 0 else 0.5
+    return u_eps < u < 1.0 - u_eps
 
-    Returns (best, cands) with cands[tag] a list of raw candidates
-    (length, q_img, state); a state chains back to the start face.
-    """
-    atlas = DirectionAtlas.at(surface, p)
-    tol = 1e-12 * surface.chart_scale
-    best = {tag: math.inf for tag in tags}
-    cands = {tag: [] for tag in tags}
-    heap = []
-    counter = 0
 
-    def consider(tag, length, q_img, chain):
-        if length < best[tag]:
-            best[tag] = length
-        cands[tag].append((length, q_img, chain))
-
-    def bound():
-        b = max(best.values())
-        return b + (eps_tie if all_ties else 0.0) + tol
-
-    for idx in range(len(atlas.sectors)):
-        f, t0, t1, base, uv, blocked = atlas.sectors[idx]
+def _start_states(surface, atlas):
+    """Start of a window expansion from the atlas point: per sector, the
+    root state, its angle range and its (lower bound, child) pairs."""
+    out = []
+    for idx, (f, t0, t1, _, _, blocked) in enumerate(atlas.sectors):
         t_iso = atlas.place_iso(idx)
         root = (f, t_iso, None, None, None, None)
-        for tag, tuv in targets.get(f, ()):
-            q_img = t_iso.apply(tuv)
-            d = math.hypot(*q_img)
-            if d > tol:
-                # direction must lie inside this sector's angular range
-                ang = math.atan2(q_img[1], q_img[0]) % TWO_PI
-                width = t1 - t0
-                local = (ang - t0 % TWO_PI) % TWO_PI
-                if local <= width + 1e-9 or local >= TWO_PI - 1e-9:
-                    consider(tag, d, q_img, root)
+        kids = []
         for e in range(3):
             if e in blocked:
                 continue
@@ -265,11 +286,85 @@ def _search(surface, p, targets, tags, *, all_ties, eps_tie, budget):
             if _cross(wa[0], wa[1], wb[0], wb[1]) < 0:
                 wa, wb = wb, wa
             f2, e2, t_into = surface.glue[(f, e)]
-            t2 = t_iso.compose(t_into)
-            state = (f2, t2, wa, wb, root, e2)
-            lb = dist_point_seg((0.0, 0.0), wa, wb)
-            counter += 1
-            heapq.heappush(heap, (lb, counter, state))
+            kids.append((dist_point_seg((0.0, 0.0), wa, wb),
+                         (f2, t_iso.compose(t_into), wa, wb, root, e2)))
+        out.append((root, t0, t1, kids))
+    return out
+
+
+def _children(surface, state, bound):
+    """(lower bound, child) for each exit edge of the state's face, clipped
+    to the cone of directions through the state's window, whose clipped
+    window lies within `bound` of the origin."""
+    face, t_iso, wa, wb, _, entry = state
+    wax, way = wa
+    wbx, wby = wb
+    tol = 1e-12 * surface.chart_scale
+    out = []
+    for e in range(3):
+        if e == entry:
+            continue
+        a = t_iso.apply(surface.corners[face][e])
+        b = t_iso.apply(surface.corners[face][(e + 1) % 3])
+        # clip [a,b] to the cone spanned CCW from wa to wb (_cross inline)
+        ca0 = wax * a[1] - way * a[0]
+        ca1 = wax * b[1] - way * b[0]
+        cb0 = a[0] * wby - a[1] * wbx
+        cb1 = b[0] * wby - b[1] * wbx
+        s0, s1 = 0.0, 1.0
+        if ca0 < 0 and ca1 < 0:
+            continue
+        if ca0 < 0:
+            s0 = max(s0, ca0 / (ca0 - ca1))
+        elif ca1 < 0:
+            s1 = min(s1, ca0 / (ca0 - ca1))
+        if cb0 < 0 and cb1 < 0:
+            continue
+        if cb0 < 0:
+            s0 = max(s0, cb0 / (cb0 - cb1))
+        elif cb1 < 0:
+            s1 = min(s1, cb0 / (cb0 - cb1))
+        if s1 - s0 <= 1e-14:
+            continue
+        na = (a[0] + s0 * (b[0] - a[0]), a[1] + s0 * (b[1] - a[1]))
+        nb = (a[0] + s1 * (b[0] - a[0]), a[1] + s1 * (b[1] - a[1]))
+        if math.dist(na, nb) < tol:
+            continue
+        if _cross(na[0], na[1], nb[0], nb[1]) < 0:
+            na, nb = nb, na
+        lb = dist_point_seg((0.0, 0.0), na, nb)
+        if lb > bound:
+            continue
+        f2, e2, t_into = surface.glue[(face, e)]
+        out.append((lb, (f2, t_iso.compose(t_into), na, nb, state, e2)))
+    return out
+
+
+def _search(surface, p, q, *, all_ties, eps_tie, budget):
+    """Best-first unfolding search from p to q.
+
+    Returns (best, cands) with cands a list of raw candidates
+    (length, q_img, state); a state chains back to the start face.
+    """
+    atlas = DirectionAtlas.at(surface, p)
+    targets, graze = _target_copies(surface, q)
+    tol = 1e-12 * surface.chart_scale
+    best = math.inf
+    cands = []
+    heap = []
+    counter = itertools.count()
+
+    def bound():
+        return best + (eps_tie if all_ties else 0.0) + tol
+
+    for root, t0, t1, kids in _start_states(surface, atlas):
+        for tuv in targets.get(root[0], ()):
+            hit = _sector_hit(root[1], t0, t1, tuv, tol)
+            if hit is not None:
+                best = min(best, hit[0])
+                cands.append((*hit, root))
+        for lb, child in kids:
+            heapq.heappush(heap, (lb, next(counter), child))
 
     pops = 0
     while heap:
@@ -279,69 +374,17 @@ def _search(surface, p, targets, tags, *, all_ties, eps_tie, budget):
         pops += 1
         if pops > budget:
             raise SearchBudgetExceeded(f"unfolding budget {budget} exceeded")
-        face, t_iso, wa, wb, parent, entry = state
-        for tag, tuv in targets.get(face, ()):
+        face, t_iso, wa, wb, _, _ = state
+        for tuv in targets.get(face, ()):
             q_img = t_iso.apply(tuv)
             d = math.hypot(*q_img)
             if d <= tol or d > bound():
                 continue
-            hit = seg_seg_intersection((0.0, 0.0), q_img, wa, wb)
-            if hit is None:
-                continue
-            t, u = hit
-            if t < 1e-9 or t > 1.0 + 1e-9:
-                continue
-            # a candidate whose tiny final stretch ends essentially at a
-            # window endpoint is the same path as one through the shorter
-            # chain (it grazes the cone point at that endpoint): drop it
-            stretch = max(0.0, (1.0 - t)) * d
-            if stretch < 1e-6 * surface.chart_scale:
-                end_gap = min(math.dist(q_img, wa), math.dist(q_img, wb))
-                if end_gap < 10.0 * stretch + 100.0 * tol:
-                    continue
-            wlen = math.dist(wa, wb)
-            u_eps = tol / wlen if wlen > 0 else 0.5
-            if u_eps < u < 1.0 - u_eps:
-                consider(tag, d, q_img, state)
-        for e in range(3):
-            if e == entry:
-                continue
-            a = t_iso.apply(surface.corners[face][e])
-            b = t_iso.apply(surface.corners[face][(e + 1) % 3])
-            # clip [a,b] to the cone spanned CCW from wa to wb
-            ca0 = _cross(wa[0], wa[1], a[0], a[1])
-            ca1 = _cross(wa[0], wa[1], b[0], b[1])
-            cb0 = _cross(a[0], a[1], wb[0], wb[1])
-            cb1 = _cross(b[0], b[1], wb[0], wb[1])
-            s0, s1 = 0.0, 1.0
-            if ca0 < 0 and ca1 < 0:
-                continue
-            if ca0 < 0:
-                s0 = max(s0, ca0 / (ca0 - ca1))
-            elif ca1 < 0:
-                s1 = min(s1, ca0 / (ca0 - ca1))
-            if cb0 < 0 and cb1 < 0:
-                continue
-            if cb0 < 0:
-                s0 = max(s0, cb0 / (cb0 - cb1))
-            elif cb1 < 0:
-                s1 = min(s1, cb0 / (cb0 - cb1))
-            if s1 - s0 <= 1e-14:
-                continue
-            na = (a[0] + s0 * (b[0] - a[0]), a[1] + s0 * (b[1] - a[1]))
-            nb = (a[0] + s1 * (b[0] - a[0]), a[1] + s1 * (b[1] - a[1]))
-            if math.dist(na, nb) < tol:
-                continue
-            if _cross(na[0], na[1], nb[0], nb[1]) < 0:
-                na, nb = nb, na
-            lb2 = dist_point_seg((0.0, 0.0), na, nb)
-            if lb2 > bound():
-                continue
-            f2, e2, t_into = surface.glue[(face, e)]
-            t2 = t_iso.compose(t_into)
-            counter += 1
-            heapq.heappush(heap, (lb2, counter,
-                                  (f2, t2, na, nb, state, e2)))
+            if _window_hit(q_img, d, wa, wb, tol, graze):
+                best = min(best, d)
+                cands.append((d, q_img, state))
+        for lb2, child in _children(surface, state, bound()):
+            heapq.heappush(heap, (lb2, next(counter), child))
     return best, cands
 
 
@@ -415,10 +458,9 @@ def distance(surface, p, q, *, budget=DEFAULT_BUDGET):
         # below the search's own coincidence tolerance the chart segment
         # is the distance (it never leaves the shared face pair)
         return gap
-    targets = _targets_for_point(surface, q)
-    best, _ = _search(surface, p, targets, (0,), all_ties=False,
-                      eps_tie=0.0, budget=budget)
-    return best[0]
+    best, _ = _search(surface, p, q, all_ties=False, eps_tie=0.0,
+                      budget=budget)
+    return best
 
 
 def minimizers(surface, p, q, *, eps_tie=None, budget=DEFAULT_BUDGET):
@@ -430,12 +472,13 @@ def minimizers(surface, p, q, *, eps_tie=None, budget=DEFAULT_BUDGET):
     """
     if eps_tie is None:
         eps_tie = surface.eps_tie
-    targets = _targets_for_point(surface, q)
-    best, cands = _search(surface, p, targets, (0,), all_ties=True,
-                          eps_tie=eps_tie, budget=budget)
+    best, cands = _search(surface, p, q, all_ties=True, eps_tie=eps_tie,
+                          budget=budget)
     atlas_q = DirectionAtlas.at(surface, q)
     total_p = DirectionAtlas.at(surface, p).total
-    raw = [c for c in cands[0] if c[0] <= best[0] + eps_tie]
+    # shortest first, so that of two copies of one path the shorter stays
+    raw = sorted((c for c in cands if c[0] <= best + eps_tie),
+                 key=lambda c: c[0])
     paths = [_build_path(surface, p, q, *c, atlas_q, total_p) for c in raw]
     dedup_tol = max(1e-9 * surface.chart_scale, 1e-12)
     paths = _dedup_paths(surface, paths, dedup_tol)
@@ -443,33 +486,153 @@ def minimizers(surface, p, q, *, eps_tie=None, budget=DEFAULT_BUDGET):
     return paths
 
 
-def paths_to_cone_points(surface, p, *, eps_tie=None, budget=DEFAULT_BUDGET):
-    """Tied minimizers from p to every cone point: {vid: [GeodesicPath]}.
+class ConePath(NamedTuple):
+    """A shortest path from a point to a cone point: its length and its
+    initial direction at the point (an angle of the point's atlas)."""
+    length: float
+    init_t: float
 
-    One multi-target search; the stop bound is the largest cone-point
-    distance plus the tie tolerance.
+
+class ConeMap:
+    """Shortest-path map of one cone point C to a given depth: the states
+    of `_search`'s window expansion from C whose windows lie within
+    `depth` of C, kept per face as their chart transforms and clipped
+    windows.
+
+    A shortest path from p to C, reversed, is one from C to p, so the
+    search's target test over the states on p's faces finds every path
+    from C to p no longer than `depth`. The states are stored flat, ten
+    floats each (the face chart -> C frame isometry, then the window ends),
+    since a surface keeps thousands of them.
+    """
+
+    def __init__(self, surface, vid, depth):
+        self.depth = depth
+        self.roots = {}     # face -> [(chart -> C frame, sector t0, t1)]
+        self.windows = {}   # face -> array of a, b, c, d, tx, ty, wa, wb
+        atlas = DirectionAtlas.at(surface, surface.vertex_point(vid))
+        self.total = atlas.total    # the cone angle at C
+        # every state within depth is kept, so the order of expansion
+        # does not matter: no heap
+        todo = []
+        for root, t0, t1, kids in _start_states(surface, atlas):
+            self.roots.setdefault(root[0], []).append((root[1], t0, t1))
+            todo += [child for lb, child in kids if lb <= depth]
+        while todo:
+            state = todo.pop()
+            face, t, wa, wb, _, _ = state
+            self.windows.setdefault(face, array("d")).extend(
+                (t.a, t.b, t.c, t.d, t.tx, t.ty, *wa, *wb))
+            todo += [child for _, child in _children(surface, state, depth)]
+
+    def hits(self, copies, graze, tol):
+        """(length, image in C's frame, face, face chart -> C frame) of
+        every path from C to a target with the chart copies `copies`."""
+        out = []
+        for face, uvs in copies.items():
+            for t_iso, t0, t1 in self.roots.get(face, ()):
+                for uv in uvs:
+                    hit = _sector_hit(t_iso, t0, t1, uv, tol)
+                    if hit is not None:
+                        out.append((*hit, face, t_iso))
+            rows = [iter(self.windows.get(face, ()))] * 10   # ten a state
+            for a, b, c, d, tx, ty, wax, way, wbx, wby in zip(*rows):
+                for x, y in uvs:
+                    # Iso.apply
+                    q_img = (a * x + b * y + tx, c * x + d * y + ty)
+                    length = math.hypot(*q_img)
+                    if length > tol and _window_hit(
+                            q_img, length, (wax, way), (wbx, wby), tol,
+                            graze):
+                        out.append((length, q_img, face,
+                                    Iso(a, b, c, d, tx, ty)))
+        return out
+
+
+def _cone_maps(surface):
+    """The surface's cone-point maps, {vid: ConeMap}, built on first use
+    to the cone-to-cone diameter (plus the default tie tolerance)."""
+    maps = surface.cone_maps
+    if not maps:
+        depth = surface.diameter * (1.0 + 1e-6) + surface.eps_tie + \
+            1e-12 * surface.chart_scale
+        for vid in sorted(surface.vertex_cycles):
+            maps[vid] = ConeMap(surface, vid, depth)
+    return maps
+
+
+def paths_to_cone_points(surface, p, *, eps_tie=None):
+    """Tied shortest paths from p to every cone point other than p:
+    {vid: [ConePath]}, each list sorted by (length, init_t).
+
+    Answered from the cone points' shortest-path maps, with no search from
+    p. The paths from C count only once C's map reaches past the shortest
+    one plus eps_tie; a shallower map is rebuilt that deep, and at least
+    1% deeper, so that queries creeping outward rebuild it rarely. No
+    point lies farther from a cone point than the diameter plus the
+    longest edge, so a map that reaches that far and still finds no path
+    gives up (the list is empty).
     """
     if eps_tie is None:
         eps_tie = surface.eps_tie
-    kind, info = surface.classify(p)
-    exclude = {info} if kind == "vertex" else set()
-    vids = [vid for vid in sorted(surface.vertex_cycles) if vid not in exclude]
-    targets = _targets_for_vertices(surface, vids)
-    best, cands = _search(surface, p, targets, vids, all_ties=True,
-                          eps_tie=eps_tie, budget=budget)
+    tol = 1e-12 * surface.chart_scale
+    reach = surface.diameter + surface.chart_scale + eps_tie + 2.0 * tol
+    copies, graze = _target_copies(surface, p)
+    kind, own = surface.classify(p)
+    atlas = DirectionAtlas.at(surface, p)
+    maps = _cone_maps(surface)
     out = {}
-    dedup_tol = max(1e-9 * surface.chart_scale, 1e-12)
-    total_p = DirectionAtlas.at(surface, p).total
-    for vid in vids:
-        raw = [c for c in cands[vid] if c[0] <= best[vid] + eps_tie]
-        q = surface.vertex_point(vid)
-        atlas_q = DirectionAtlas.at(surface, q)
-        paths = [_build_path(surface, p, q, *c, atlas_q, total_p)
-                 for c in raw]
-        paths = _dedup_paths(surface, paths, dedup_tol)
-        paths.sort(key=lambda g: (g.length, g.init_t))
-        out[vid] = paths
+    for vid in sorted(maps):
+        if kind == "vertex" and vid == own:
+            continue
+        cmap = maps[vid]
+        hits = cmap.hits(copies, graze, tol)
+        best = min((h[0] for h in hits), default=math.inf)
+        while best + eps_tie + tol > cmap.depth and cmap.depth < reach:
+            need = best + eps_tie + tol if hits else 2.0 * cmap.depth
+            depth = min(reach, max(need, 1.01 * cmap.depth))
+            cmap = maps[vid] = ConeMap(surface, vid, depth)
+            hits = cmap.hits(copies, graze, tol)
+            best = min((h[0] for h in hits), default=math.inf)
+        out[vid] = _cone_paths(surface, atlas, cmap, hits, best + eps_tie)
     return out
+
+
+def _cone_paths(surface, atlas, cmap, hits, limit):
+    """ConePaths of the hits no longer than `limit`, sorted by (length,
+    init_t). init_t is the reversed arrival direction; a direction within
+    rounding of the atlas seam reads 0.
+
+    Hits are deduplicated as `minimizers` deduplicates paths: two whose
+    midpoints lie within its tolerance are one path, of which the shortest
+    is kept. From C the midpoints of two paths are about their angle at C
+    times half the length apart. One path found through two chart copies
+    of p (p on an edge) thus counts once, and so do two ways past a cone
+    point that p nearly touches once they run that close together.
+    """
+    theta_c = cmap.total
+    same = 2.0 * max(1e-9 * surface.chart_scale, 1e-12)
+    found = []
+    for d, q_img, face, t_iso in hits:
+        if d > limit:
+            continue
+        back = t_iso.inverse().apply_vec((-q_img[0] / d, -q_img[1] / d))
+        t = atlas.angle_from_chart(face, back)
+        if atlas.total - t < SEAM:
+            t = 0.0
+        # the direction at C: the map's frame angles are C's atlas angles,
+        # in [0, theta_c] up to rounding past either end
+        a = math.atan2(q_img[1], q_img[0]) % TWO_PI
+        if a > 0.5 * (theta_c + TWO_PI):
+            a -= TWO_PI
+        found.append((d, t, a))
+    found.sort()
+    kept = []
+    for d, t, a in found:
+        gaps = (abs(a - b) % theta_c for _, _, b in kept)
+        if all(min(g, theta_c - g) * d > same for g in gaps):
+            kept.append((d, t, a))
+    return [ConePath(d, t) for d, t, _ in kept]
 
 
 @dataclass

@@ -164,25 +164,22 @@ class StarPolygon:
 
 
 class StarUnfolding(StarPolygon):
-    def __init__(self, surface, source, *, eps_tie=None, budget=None):
+    def __init__(self, surface, source, *, eps_tie=None):
         source = surface.canonical(source)
         self.source = source
         if eps_tie is None:
             eps_tie = surface.eps_tie
-        kwargs = {"eps_tie": eps_tie}
-        if budget is not None:
-            kwargs["budget"] = budget
         self.atlas = DirectionAtlas.at(surface, source)
         self.theta_source = self.atlas.total
 
-        tied = paths_to_cone_points(surface, source, **kwargs)
+        tied = paths_to_cone_points(surface, source, eps_tie=eps_tie)
         cuts = []
         for vid, paths in tied.items():
             if not paths:
                 raise CutDegeneracy(f"no minimizer to cone point {vid}")
-            shortest = paths[0].length
-            pick = min((g for g in paths if g.length <= shortest + eps_tie),
-                       key=lambda g: g.init_t)
+            # every path is within eps_tie of the shortest: cut along the
+            # first in atlas order
+            pick = min(paths, key=lambda g: g.init_t)
             cuts.append(Cut(vid, pick.length, pick.init_t, 0.0))
         anchor_vid = min(c.vid for c in cuts)
         a0 = next(c.angle for c in cuts if c.vid == anchor_vid)

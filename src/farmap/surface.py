@@ -71,6 +71,8 @@ class ConeSurface:
         self._diameter = None
         # vid -> DirectionAtlas, filled on demand by DirectionAtlas.at
         self.cone_atlases = {}
+        # vid -> geodesics.ConeMap, built on the first cone-path query
+        self.cone_maps = {}
 
     # -- construction helpers -------------------------------------------
 

@@ -95,6 +95,18 @@ def test_rational_representation_per_component(octa, octa_regions,
     assert worst < 100 * octa.eps_geom
 
 
+def test_rational_representation_sees_dropped_curves(octa, octa_regions,
+                                                     octa_curves):
+    """Without the multi-valued curves, components merge across them and
+    hold two formulas each; the check must sample them across their
+    extent to see it."""
+    region = octa_regions.regions[0]
+    kept = [c for c in octa_curves if c.label != MULTI_VALUED]
+    worst, _, _ = check_rational_representation(octa, region, kept,
+                                                n_samples=100)
+    assert worst == math.inf
+
+
 def test_hyperbola_residuals_on_octahedron(octa, octa_regions, fresh_rng):
     rng = fresh_rng(2)
     bound = 1e-6 * octa.diameter ** 2

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from itertools import combinations
 from types import SimpleNamespace
@@ -7,10 +8,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from farmap import presets
+from farmap import farthest, presets
 from farmap.errors import VoronoiDegeneracy
 from farmap.farthest import (evaluate_f, good_triples, max_good_radius,
-                             radius, triple_conditions, write_batch_csv)
+                             radius, triple_conditions)
 from farmap.geodesics import distance, minimizers
 from farmap.oracle import oracle_distance_field
 from farmap.star_unfold import StarUnfolding, unfold
@@ -120,6 +121,16 @@ def test_farthest_point_uniqueness_consequence(perturbed, fresh_rng):
                     assert gap > perturbed.eps_geom
 
 
+def _active_indices(res, fp):
+    """Source-image indices whose distance to fp's planar image is minimal
+    within the tie tolerance and whose segment is a star path (the
+    minimizers from the source to fp)."""
+    u = res.unfolding
+    return [n for n, phi in enumerate(u.source_images)
+            if math.dist(phi, fp.center) <= fp.distance + u.surface.eps_tie
+            and u.is_star_path(fp.center, phi)]
+
+
 def test_face_center_is_fixed_point(octa):
     """The face center of the regular octahedron is a generalized fixed
     point: every triple ties there and all circumcenters coincide on it."""
@@ -132,7 +143,7 @@ def test_face_center_is_fixed_point(octa):
     gap = distance(octa, p, fp.point)
     assert gap < 1e-9
     # the antipodal pair is joined by many minimizers at this point
-    assert len(res.active_indices(fp)) == 6
+    assert len(_active_indices(res, fp)) == 6
 
 
 def test_multi_valued_across_branch_jump(octa):
@@ -177,16 +188,6 @@ def test_triple_conditions_slack(octa, fresh_rng):
     for g in gts:
         assert triple_conditions(u, g.indices) is not None
         assert triple_conditions(u, g.indices, slack=1e-3) is not None
-
-
-def test_batch_csv(tmp_path, octa, fresh_rng):
-    r = fresh_rng(8)
-    pts = [octa.random_point(r) for _ in range(5)]
-    out = tmp_path / "batch.csv"
-    write_batch_csv(octa, pts, out)
-    lines = out.read_text().strip().splitlines()
-    assert lines[0] == "face,u,v,radius,count,provenance"
-    assert len(lines) == 6
 
 
 def _random_symmetric_polytope(seed, half):
@@ -273,6 +274,33 @@ def test_result_unfolding_rebuilds_identically(perturbed, fresh_rng):
     supplied = unfold(perturbed, perturbed.antipode(res.source))
     assert evaluate_f(perturbed, res.source,
                       unfolding=supplied).unfolding is supplied
+
+
+def test_result_good_rebuilds_what_evaluate_f_found(perturbed, fresh_rng,
+                                                    monkeypatch):
+    """A result keeps no good-triple list: `good` is rebuilt from the
+    unfolding on first access and equals the list evaluate_f computed.
+    A list passed in (dataclasses.replace) is kept as given."""
+    found = []
+    real = farthest.good_triples
+
+    def recording(u, eps=None):
+        found.append(real(u, eps))
+        return found[-1]
+
+    monkeypatch.setattr(farthest, "good_triples", recording)
+    r = fresh_rng(10)
+    for _ in range(3):
+        found.clear()
+        res = evaluate_f(perturbed, perturbed.random_point(r))
+        computed, = found
+        rebuilt = res.good
+        assert rebuilt is not computed
+        assert rebuilt == computed
+        assert res.good is rebuilt
+    padded = dataclasses.replace(res, good=computed + computed[:1])
+    assert padded.good == computed + computed[:1]
+    assert padded.radius == res.radius
 
 
 def test_tie_width_does_not_change_radius():

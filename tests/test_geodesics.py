@@ -1,13 +1,19 @@
 import math
+from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from farmap.cutlocus import cut_locus
 from farmap.errors import SearchBudgetExceeded
+from farmap.farthest import evaluate_f
 from farmap.geodesics import (DirectionAtlas, distance, lunes, minimizers,
                               paths_to_cone_points)
+from farmap.geom import dist_point_seg
 from farmap.oracle import oracle_distance_field
-from farmap.surface import SurfacePoint
+from farmap.surface import SurfacePoint, build_from_vertices
 
 SQRT2 = math.sqrt(2.0)
 SQRT6 = math.sqrt(6.0)
@@ -244,3 +250,123 @@ def test_cone_point_atlas_is_built_once(perturbed):
     p = perturbed.random_point(np.random.default_rng(0))
     assert DirectionAtlas.at(perturbed, p) is not \
         DirectionAtlas.at(perturbed, p)
+
+
+def _random_symmetric_polytope(seed, half):
+    """K = 2*half cone points: normalized Gaussian directions, mirrored."""
+    v = np.random.default_rng(seed).normal(size=(half, 3))
+    v /= np.linalg.norm(v, axis=1)[:, None]
+    return build_from_vertices(np.vstack([v, -v]))
+
+
+def test_search_crosses_a_window_next_to_the_source():
+    """A source within ~1e-8 (barycentric) of an edge crosses that edge at
+    a tiny fraction of a long path; the search must keep the crossing, so
+    that the distance is symmetric."""
+    s = _random_symmetric_polytope(0, 10)
+    for p, vid in ((SurfacePoint(34, 0.1473255398992048,
+                                 0.030321808355870176), 6),
+                   (SurfacePoint(0, 0.6919852621224638,
+                                 4.889880456891146e-10), 10)):
+        c = s.vertex_point(vid)
+        assert distance(s, p, c) == pytest.approx(distance(s, c, p),
+                                                  abs=1e-12)
+
+
+def _geodesic_minimizers(s, p, vid):
+    """minimizers(p, C) without the paths that run through another cone
+    point V. From a source next to V the search can return p -> V -> C,
+    which is no geodesic."""
+    kind, own = s.classify(p)
+    ends = {vid, own} if kind == "vertex" else {vid}
+    tol = 1e-12 * s.chart_scale
+
+    def through_cone_point(g):
+        return any(dist_point_seg(corner, a, b) < tol
+                   for face, a, b in g.polyline
+                   for corner, v in zip(s.corners[face], s.face_vids[face])
+                   if v not in ends)
+
+    return [g for g in minimizers(s, p, s.vertex_point(vid))
+            if not through_cone_point(g)]
+
+
+def _assert_query_matches_search(s, p):
+    """paths_to_cone_points(p) against minimizers(p, C) for every cone
+    point C: the same tie count, the same shortest length and the same cut
+    direction (the smallest initial direction among the ties). C's map
+    must reach past the length plus the tie tolerance."""
+    got = paths_to_cone_points(s, p)
+    kind, own = s.classify(p)
+    want = [vid for vid in sorted(s.vertex_cycles)
+            if not (kind == "vertex" and vid == own)]
+    assert list(got) == want
+    theta = DirectionAtlas.at(s, p).total
+    for vid, paths in got.items():
+        ref = _geodesic_minimizers(s, p, vid)
+        assert len(paths) == len(ref)
+        assert paths == sorted(paths)
+        length = min(g.length for g in ref)
+        assert abs(paths[0].length - length) <= 1e-12 * s.diameter
+        # every state that can carry a tie was expanded
+        assert s.cone_maps[vid].depth >= paths[0].length + s.eps_tie
+        gap = (min(g.init_t for g in paths)
+               - min(g.init_t for g in ref)) % theta
+        # a direction rounds like its chart coordinates over the length
+        assert min(gap, theta - gap) <= 1e-9 + 1e-12 * s.diameter / length
+
+
+_cached_polytope = lru_cache(maxsize=None)(_random_symmetric_polytope)
+
+
+def _near(s, rng, corner, log_offset):
+    """A point of a random face, 10**log_offset * chart_scale inside it
+    from a random point of one of its edges, or from one of its
+    corners."""
+    f = int(rng.integers(s.n_faces))
+    e = int(rng.integers(3))
+    a, b, c = (np.array(s.corners[f][(e + i) % 3]) for i in range(3))
+    base = a if corner else a + rng.uniform(0.05, 0.95) * (b - a)
+    inward = (a + b + c) / 3.0 - base if corner else c - base
+    xy = base + 10.0 ** log_offset * s.chart_scale * inward / \
+        np.linalg.norm(inward)
+    return SurfacePoint(f, float(xy[0]), float(xy[1]))
+
+
+@settings(max_examples=200)
+@given(seed=st.integers(0, 3), half=st.integers(3, 10),
+       point_seed=st.integers(0, 2 ** 32 - 1),
+       where=st.sampled_from(("random", "edge", "corner", "cone",
+                              "cut locus")),
+       log_offset=st.integers(-12, -6))
+def test_cone_paths_match_minimizers(seed, half, point_seed, where,
+                                     log_offset):
+    s = _cached_polytope(seed, half)
+    rng = np.random.default_rng(point_seed)
+    vids = sorted(s.vertex_cycles)
+    if where == "random":
+        p = s.random_point(rng)
+    elif where in ("edge", "corner"):
+        p = _near(s, rng, where == "corner", log_offset)
+    elif where == "cone":
+        p = s.vertex_point(vids[int(rng.integers(len(vids)))])
+    else:
+        tree = cut_locus(s, vids[int(rng.integers(len(vids)))])
+        pts = tree.edge_points(per_edge=1)
+        p = pts[int(rng.integers(len(pts)))]
+    _assert_query_matches_search(s, p)
+
+
+def test_cone_paths_reach_past_the_diameter():
+    """On this K = 20 polytope, cone points 2 and 12 have farthest points
+    about 1.0017 x the cone-to-cone diameter away: their maps must reach
+    past the diameter to answer those points."""
+    s = _random_symmetric_polytope(2, 10)
+    far = []
+    for vid in sorted(s.vertex_cycles):
+        res = evaluate_f(s, s.antipode(s.vertex_point(vid)))
+        far += [fp.point for fp in res.points
+                if fp.distance > 1.001 * s.diameter]
+    assert far
+    for p in far:
+        _assert_query_matches_search(s, p)
