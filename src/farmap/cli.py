@@ -42,15 +42,16 @@ class RunConfig:
     tol_curve: float = None
 
     def __post_init__(self):
-        diam = self.surface.diameter
+        # a --tol-* flag overrides the surface's default
+        s = self.surface
         if self.tol_geom is None:
-            self.tol_geom = 1e-9 * diam
+            self.tol_geom = s.eps_geom
         if self.tol_fix is None:
-            self.tol_fix = 1e-6 * diam
+            self.tol_fix = s.eps_fix
         if self.tol_conv is None:
-            self.tol_conv = 1e-8 * diam
+            self.tol_conv = s.eps_conv
         if self.tol_curve is None:
-            self.tol_curve = 1e-6 * diam
+            self.tol_curve = s.eps_curve
 
     def rng(self):
         return np.random.default_rng(self.seed)

@@ -353,17 +353,17 @@ def _region_equations(surface, region, pairs1, pairs2, pairs3):
     return eqs
 
 
-def probe_equations(surface, region, *, grid=6, eps_tie=None,
-                    cone_slack_frac=0.08):
+def probe_equations(surface, region):
     """Detect which equation instances can have valid solutions.
 
     Validity demands simultaneous goodness at the point, so only pairs that
-    co-occur at a probe (plus cone points whose distance comes near the
-    radius there) are traced; goodness is an open condition, so probes near
-    a curve see its participating triples.
+    co-occur at a probe of a 6 x 6 grid (plus cone points whose distance
+    comes within 0.08 x diameter of the radius there) are traced; goodness
+    is an open condition, so probes near a curve see its participating
+    triples.
     """
-    diam = surface.diameter
-    slack = cone_slack_frac * diam
+    grid = 6
+    slack = 0.08 * surface.diameter
     poly = region.polygon
     xs0 = min(p[0] for p in poly)
     xs1 = max(p[0] for p in poly)
@@ -386,7 +386,7 @@ def probe_equations(surface, region, *, grid=6, eps_tie=None,
     triples = set()
     for sp in probes:
         u = unfold(surface, surface.antipode(sp))
-        res = evaluate_f(surface, sp, eps_tie=eps_tie, unfolding=u)
+        res = evaluate_f(surface, sp, unfolding=u)
         goods = sorted(g.indices for g in res.good)
         triples.update(goods)
         near_cones = [n for n, cut in enumerate(u.cuts)
@@ -401,24 +401,22 @@ def probe_equations(surface, region, *, grid=6, eps_tie=None,
     return pairs1, pairs2, pairs3, sorted(triples)
 
 
-def trace_curves(surface, region, resolution=512, *, eps_tie=None,
-                 eps_curve=None, eps_fix=None, validate_spacing=None,
-                 equations=None):
+def trace_curves(surface, region, resolution=512, *, eps_curve=None,
+                 eps_fix=None):
     """Classified special curves of one region.
 
     Validity filtering runs per sample (a single algebraic component can
-    cross between valid and invalid stretches); curves are split into
-    maximal valid runs and labelled by their sample majority.
+    cross between valid and invalid stretches), at most one sample per
+    diameter / 120 of curve; curves are split into maximal valid runs and
+    labelled by their sample majority. eps_curve and eps_fix default to
+    the surface's.
     """
     diam = surface.diameter
-    if eps_tie is None:
-        eps_tie = surface.eps_tie
+    eps_tie = surface.eps_tie
     if eps_curve is None:
-        eps_curve = 1e-6 * diam
+        eps_curve = surface.eps_curve
     if eps_fix is None:
-        eps_fix = 1e-6 * diam
-    if validate_spacing is None:
-        validate_spacing = diam / 120.0
+        eps_fix = surface.eps_fix
     if region.isometries is None:
         raise ValueError("region isometries must be fitted first")
     # samples are classified on the star polygon the fitted isometries
@@ -430,10 +428,8 @@ def trace_curves(surface, region, resolution=512, *, eps_tie=None,
     # one errstate for every field evaluation, grid and scalar alike: a
     # vanishing circumcenter denominator gives inf, not a warning
     with np.errstate(all="ignore"):
-        if equations is None:
-            p1, p2, p3, _ = probe_equations(surface, region,
-                                            eps_tie=eps_tie)
-            equations = _region_equations(surface, region, p1, p2, p3)
+        p1, p2, p3, _ = probe_equations(surface, region)
+        equations = _region_equations(surface, region, p1, p2, p3)
 
         poly = region.polygon
         xs0 = min(p[0] for p in poly)
@@ -461,7 +457,7 @@ def trace_curves(surface, region, resolution=512, *, eps_tie=None,
                     out.extend(_validate_and_label(
                         surface, region, eq, piece, eps_tie=eps_tie,
                         eps_curve=eps_curve, eps_fix=eps_fix,
-                        spacing=validate_spacing))
+                        spacing=diam / 120.0))
     cell = max(xs1 - xs0, ys1 - ys0) / resolution
     return dedup_curves(out, 3.0 * cell)
 
@@ -690,28 +686,24 @@ def active_from_displacement(region, xy, level, tol):
     return out
 
 
-def hyperbola_form(surface, region, limit_xy, active=None, *, level=None,
-                   eps_geom=None):
+def hyperbola_form(surface, region, limit_xy, level):
     """Normal frame at a limit point (origin at the glide-axis crossing,
     real axis bisecting the axes) and the residual of the
     rectangular-hyperbola equation there.
 
-    `active` are region-frame indices of minimizers at the limit point
-    (derived from the displacement condition when omitted); the first pair
-    whose isometry composition is a proper rotation is used.
+    The region-frame indices of the minimizers at the limit point are
+    those whose isometry moves it by `level`, the radius there; the first
+    pair whose isometry composition is a proper rotation is used. The
+    form is degenerate when its glide lengths agree within
+    `surface.eps_geom`.
     """
-    if eps_geom is None:
-        eps_geom = surface.eps_geom
-    if active is None:
-        if level is None:
-            raise ValueError("need `active` or `level` to find minimizers")
-        # true minimizer displacements cluster within the fixed-point
-        # residual; competing branches sit orders of magnitude further out
+    # true minimizer displacements cluster within the fixed-point
+    # residual; competing branches sit orders of magnitude further out
+    active = active_from_displacement(region, limit_xy, level,
+                                      1e-5 * surface.diameter)
+    if len(active) < 2:
         active = active_from_displacement(region, limit_xy, level,
-                                          1e-5 * surface.diameter)
-        if len(active) < 2:
-            active = active_from_displacement(region, limit_xy, level,
-                                              1e-4 * surface.diameter)
+                                          1e-4 * surface.diameter)
     pair = None
     for i, j in combinations(sorted(active), 2):
         comp = region.isometries[j].compose(region.isometries[i].inverse())
@@ -761,7 +753,7 @@ def hyperbola_form(surface, region, limit_xy, active=None, *, level=None,
                                     r2, r1, surface.diameter)
     xb, yb = to_frame(limit_xy)
     residual = abs(8.0 * math.sin(alpha) * xb * yb - (r1 * r1 - r2 * r2))
-    degenerate = abs(abs(r1) - abs(r2)) < eps_geom
+    degenerate = abs(abs(r1) - abs(r2)) < surface.eps_geom
     return HyperbolaForm(alpha, r1, r2, origin, rho, residual, degenerate,
                          form_error)
 
@@ -790,16 +782,16 @@ def _normal_form_error(region, i, j, origin, rho, alpha, glide_i, glide_j,
 
 
 def check_rational_representation(surface, region, curves, *,
-                                  n_samples=100, grid=24, eps_tie=None):
+                                  n_samples=100):
     """Per component of the region minus the traced curves, confirm that f
     is one rational circumcenter map (or one constant cone point).
 
+    The components are those of a 24 x 24 lattice over the region.
     Returns (worst_gap, n_checked, n_components). The gap compares the
     component's formula against the exact evaluator in the anchored
     developing frame, so both sides are planar points.
     """
-    if eps_tie is None:
-        eps_tie = surface.eps_tie
+    grid = 24
     poly = region.polygon
     xs0 = min(p[0] for p in poly)
     xs1 = max(p[0] for p in poly)
@@ -854,7 +846,7 @@ def check_rational_representation(surface, region, curves, *,
             except KeyError:
                 continue
             u = unfold(surface, surface.antipode(sp))
-            res = evaluate_f(surface, sp, eps_tie=eps_tie, unfolding=u)
+            res = evaluate_f(surface, sp, unfolding=u)
             fp = max(res.points, key=lambda q: q.distance)
             if fp.provenance == "cone":
                 vid = u.cuts[fp.indices[0]].vid
@@ -882,14 +874,13 @@ def check_rational_representation(surface, region, curves, *,
     return worst, checked, len(by_comp)
 
 
-def limit_line_solve(region, i, j, level, *, inside_only=True,
-                     boundary_tol=1e-7):
+def limit_line_solve(region, i, j, level, *, inside_only=True):
     """Solutions of ||I_i(x)-x|| = ||I_j(x)-x|| = level: up to 4 points.
 
     Each equation cuts out at most two lines parallel to the glide axis;
     NoSolution is raised when the level undershoots a glide length. Points
-    on the region boundary count as inside (limit points sit on the cut
-    locus closure).
+    within 1e-7 of the region boundary count as inside (limit points sit
+    on the cut locus closure).
     """
     from .geom import dist_point_polygon_boundary
     pt_i, u_i, b_i = glide_decomposition(region.isometries[i])
@@ -915,7 +906,7 @@ def limit_line_solve(region, i, j, level, *, inside_only=True,
             p = (base_i[0] + s * u_i[0], base_i[1] + s * u_i[1])
             keep = (not inside_only or point_in_polygon(p, region.polygon)
                     or dist_point_polygon_boundary(
-                        p, region.polygon) < boundary_tol)
+                        p, region.polygon) < 1e-7)
             if keep:
                 pts.append(p)
     return pts

@@ -105,7 +105,7 @@ def _clip_segment_to_polygon(a, b, poly, tol):
     return out
 
 
-def cut_locus(surface, vid, *, eps_tie=None):
+def cut_locus(surface, vid):
     """Cut locus tree of cone point `vid` via the Voronoi characterization.
 
     Voronoi edges of the source images are clipped to the star polygon,
@@ -113,7 +113,7 @@ def cut_locus(surface, vid, *, eps_tie=None):
     produce high-degree Voronoi vertices split by rounding), and each edge
     is folded back to a surface polyline.
     """
-    u = unfold(surface, surface.vertex_point(vid), eps_tie=eps_tie)
+    u = unfold(surface, surface.vertex_point(vid))
     vor = u.voronoi()
     sites = vor.points
     span = float(np.ptp(sites, axis=0).max()) * 20.0 + 10.0 * surface.diameter
@@ -412,11 +412,10 @@ def _in_poly_tol(p, poly, tol=1e-9):
 class RegionDecomposition:
     """Overlay of all cut loci plus the induced region structure."""
 
-    def __init__(self, surface, trees, regions, cell_region):
+    def __init__(self, surface, trees, regions):
         self.surface = surface
         self.trees = trees
         self.regions = regions
-        self._cell_region = cell_region   # (face, cell idx) -> rid
 
     def locate(self, sp):
         """Region id containing the surface point (boundary points get an
@@ -427,24 +426,10 @@ class RegionDecomposition:
                     return r.rid
         raise KeyError("point not located in any region")
 
-    def phi_region_map(self):
-        """Region id permutation induced by the antipodal map."""
-        out = {}
-        for r in self.regions:
-            samples = r.interior_samples(count=1)
-            if not samples:
-                raise ArrangementDegeneracy(
-                    f"region {r.rid} admits no interior sample")
-            _, sp = samples[0]
-            out[r.rid] = self.locate(self.surface.antipode(sp))
-        return out
 
-
-def build_regions(surface, *, trees=None, eps_tie=None):
+def build_regions(surface):
     """Cut the surface along all cut loci and develop each region."""
-    if trees is None:
-        trees = [cut_locus(surface, cp.vid, eps_tie=eps_tie)
-                 for cp in surface.cone_points]
+    trees = [cut_locus(surface, cp.vid) for cp in surface.cone_points]
 
     scale = surface.chart_scale
     tol = 1e-7 * scale
@@ -544,14 +529,9 @@ def build_regions(surface, *, trees=None, eps_tie=None):
         for c in range(len(cells[f])):
             groups.setdefault(find((f, c)), []).append((f, c))
 
-    regions = []
-    cell_region = {}
-    for rid, (root, members) in enumerate(sorted(groups.items())):
-        region = _develop_region(surface, cells, members, rid, tol)
-        regions.append(region)
-        for fc in members:
-            cell_region[fc] = rid
-    return RegionDecomposition(surface, trees, regions, cell_region)
+    regions = [_develop_region(surface, cells, members, rid, tol)
+               for rid, (_, members) in enumerate(sorted(groups.items()))]
+    return RegionDecomposition(surface, trees, regions)
 
 
 def _edge_of_segment(surface, f, a, b, tol):
@@ -691,7 +671,7 @@ def _cell_edge_interval(poly, a, b, tol):
 
 # -- per-region isometries --------------------------------------------------
 
-def region_isometries(surface, region, *, eps_tie=None, samples=4):
+def region_isometries(surface, region):
     """Fit the 2N orientation-reversing isometries I_n and the constants
     C_n(s) from star unfoldings at interior sample points.
 
@@ -699,7 +679,7 @@ def region_isometries(surface, region, *, eps_tie=None, samples=4):
     the developing transform of the shortest path phi(q) -> q, so all
     samples express source images in the same frame.
     """
-    pts = region.interior_samples(count=max(samples, 3))
+    pts = region.interior_samples(count=4)
     if len(pts) < 3:
         raise FitDegenerate(
             f"region {region.rid}: only {len(pts)} interior samples")
@@ -713,7 +693,7 @@ def region_isometries(surface, region, *, eps_tie=None, samples=4):
     order = None
     for xy, sp in pts:
         src = surface.antipode(sp)
-        u = unfold(surface, src, eps_tie=eps_tie)
+        u = unfold(surface, src)
         this_order = [c.vid for c in u.cuts]
         if order is None:
             order = this_order

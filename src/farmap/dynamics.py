@@ -14,6 +14,8 @@ from .farthest import evaluate_f
 from .geodesics import distance, minimizers
 
 K_CONV = 3  # consecutive small steps that declare convergence
+# a periodic hit returns this many times closer than the step it started at
+SEPARATION = 100.0
 
 
 @dataclass
@@ -54,18 +56,17 @@ def _select(surface, result):
     return keyed[0][1]
 
 
-def iterate(surface, p0, max_steps=500, eps_conv=None, *, eps_tie=None,
-            k_conv=K_CONV):
+def iterate(surface, p0, max_steps=500, eps_conv=None):
     """Follow the orbit of f from p0 until K_CONV consecutive steps are
-    shorter than eps_conv, or the step budget runs out.
+    shorter than eps_conv (default `surface.eps_conv`), or the step budget
+    runs out.
 
     Radii must be nondecreasing along the orbit (up to the tie tolerance);
     a drop signals an engine bug and raises MonotonicityViolation.
     """
     if eps_conv is None:
-        eps_conv = 1e-8 * surface.diameter
-    if eps_tie is None:
-        eps_tie = surface.eps_tie
+        eps_conv = surface.eps_conv
+    eps_tie = surface.eps_tie
     p = surface.canonical(p0)
     points = [p]
     radii = []
@@ -76,7 +77,7 @@ def iterate(surface, p0, max_steps=500, eps_conv=None, *, eps_tie=None,
     limit = None
     converged_step = None
     for n in range(max_steps):
-        res = evaluate_f(surface, p, eps_tie=eps_tie)
+        res = evaluate_f(surface, p)
         if radii and res.radius < radii[-1] - eps_tie:
             raise MonotonicityViolation(
                 f"radius dropped from {radii[-1]!r} to {res.radius!r} "
@@ -92,7 +93,7 @@ def iterate(surface, p0, max_steps=500, eps_conv=None, *, eps_tie=None,
         p = nxt
         if step < eps_conv:
             small += 1
-            if small >= k_conv:
+            if small >= K_CONV:
                 status = "converged"
                 limit = p
                 converged_step = n + 1
@@ -104,7 +105,7 @@ def iterate(surface, p0, max_steps=500, eps_conv=None, *, eps_tie=None,
                  converged_step, selections)
 
 
-def certify_limit(surface, orbit, *, eps_tie=None, eps_fix=None):
+def certify_limit(surface, orbit):
     """Fixed-point residual and minimizer structure of a converged limit.
 
     A limit near a cone point counts as a cone-point limit: within
@@ -115,12 +116,8 @@ def certify_limit(surface, orbit, *, eps_tie=None, eps_fix=None):
     """
     if orbit.status != "converged":
         raise NotConverged("orbit did not converge within its budget")
-    if eps_tie is None:
-        eps_tie = surface.eps_tie
-    if eps_fix is None:
-        eps_fix = 1e-6 * surface.diameter
     p = orbit.limit
-    res = evaluate_f(surface, p, eps_tie=eps_tie)
+    res = evaluate_f(surface, p)
     resid = math.inf
     for fp in res.points:
         gap = surface.chart_gap(p, fp.point)
@@ -130,24 +127,23 @@ def certify_limit(surface, orbit, *, eps_tie=None, eps_fix=None):
     on_cone = kind == "vertex"
     count = 0
     if not on_cone:
-        count = len(minimizers(surface, p, surface.antipode(p),
-                               eps_tie=eps_tie))
+        count = len(minimizers(surface, p, surface.antipode(p)))
     return LimitCertificate(p, resid, count, on_cone, res.radius)
 
 
-def periodicity_scan(surface, orbit, max_period=20, eps_conv=None,
-                     separation=100.0):
+def periodicity_scan(surface, orbit, max_period=20, eps_conv=None):
     """Hunt for m, n with p_m ~ p_{m+n} (n > 1) while the orbit still moves.
 
     A genuine n-cycle returns to machine precision while its steps stay
     macroscopic; a converging tail has return gaps comparable to its step
     sizes. The separation factor tells the two apart: a hit requires the
-    return gap to be `separation` times smaller than the step at m (and
-    below eps_conv). Chart-level coincidence prefilters; candidates are
-    confirmed with an exact distance query. Expected result: no hits.
+    return gap to be SEPARATION times smaller than the step at m (and
+    below eps_conv, default `surface.eps_conv`). Chart-level coincidence
+    prefilters; candidates are confirmed with an exact distance query.
+    Expected result: no hits.
     """
     if eps_conv is None:
-        eps_conv = 1e-8 * surface.diameter
+        eps_conv = surface.eps_conv
     pts = orbit.points
     hits = []
     for m in range(len(pts)):
@@ -163,7 +159,7 @@ def periodicity_scan(surface, orbit, max_period=20, eps_conv=None,
             if gap is None or gap > eps_conv:
                 continue
             d = distance(surface, pts[m], pts[m + n])
-            if d < eps_conv and d * separation < step:
+            if d < eps_conv and d * SEPARATION < step:
                 hits.append((m, n))
     return hits
 

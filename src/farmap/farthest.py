@@ -80,16 +80,17 @@ def _result_good(result):
 FarthestResult.good = property(_result_good)
 
 
-def triple_conditions(u, triple, *, eps=None, slack=None):
+def triple_conditions(u, triple, *, slack=None):
     """Good-triple test for one index triple; None when no circumcenter.
 
-    slack loosens the minimality condition (condition 3): a visible image
-    may undercut the triple's radius by up to slack before the triple stops
-    being good. The strict evaluator uses float-noise slack; the curve
-    validity filter passes its landing tolerance.
+    Centers within 1e-9 x chart_scale of the polygon boundary fail the
+    interior condition, and star paths may not graze a polygon vertex that
+    closely. slack loosens the minimality condition (condition 3): a
+    visible image may undercut the triple's radius by up to slack before
+    the triple stops being good. The strict evaluator uses float-noise
+    slack; the curve validity filter passes its landing tolerance.
     """
-    if eps is None:
-        eps = 1e-9 * u.surface.chart_scale
+    eps = 1e-9 * u.surface.chart_scale
     if slack is None:
         slack = 1e-12 * u.surface.chart_scale
     imgs = u.source_images
@@ -127,19 +128,19 @@ def _voronoi_candidates(u):
     return candidates
 
 
-def good_triples(u, eps=None):
+def good_triples(u):
     """All good triples of the unfolding, in lexicographic index order.
 
     Clipped to the star polygon, the Voronoi diagram of the source images
     is the cut locus, so a good triple's circumcenter is a Voronoi vertex
     and its images are the vertex's nearest ones. Every triple among the
     nearest images of some vertex is tested. Collinear image triples have
-    no circumcenter and are skipped; centers on the polygon boundary
-    (within eps) fail the interior condition.
+    no circumcenter and are skipped; centers on the polygon boundary fail
+    the interior condition.
     """
     out = []
     for triple in sorted(_voronoi_candidates(u)):
-        g = triple_conditions(u, triple, eps=eps)
+        g = triple_conditions(u, triple)
         if g is not None:
             out.append(g)
     return out

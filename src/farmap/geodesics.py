@@ -463,27 +463,42 @@ def distance(surface, p, q, *, budget=DEFAULT_BUDGET):
     return best
 
 
-def minimizers(surface, p, q, *, eps_tie=None, budget=DEFAULT_BUDGET):
+def minimizers(surface, p, q):
     """All distance minimizers from p to q, sorted by initial direction.
 
-    Ties are resolved within eps_tie (default 1e-7 * diameter); paths are
-    deduplicated by the surface location of their midpoints (two distinct
-    minimizers share no interior point).
+    Ties are resolved within `surface.eps_tie`; paths are deduplicated by
+    the surface location of their midpoints (two distinct minimizers share
+    no interior point). A path through a cone point other than p and q
+    bends there, so it is no geodesic and is dropped: the windows prune
+    such paths, except past a cone point that p nearly touches.
     """
-    if eps_tie is None:
-        eps_tie = surface.eps_tie
+    eps_tie = surface.eps_tie
     best, cands = _search(surface, p, q, all_ties=True, eps_tie=eps_tie,
-                          budget=budget)
+                          budget=DEFAULT_BUDGET)
     atlas_q = DirectionAtlas.at(surface, q)
     total_p = DirectionAtlas.at(surface, p).total
     # shortest first, so that of two copies of one path the shorter stays
     raw = sorted((c for c in cands if c[0] <= best + eps_tie),
                  key=lambda c: c[0])
     paths = [_build_path(surface, p, q, *c, atlas_q, total_p) for c in raw]
+    ends = {info for kind, info in map(surface.classify, (p, q))
+            if kind == "vertex"}
+    paths = [g for g in paths if not _through_cone_point(surface, g, ends)]
     dedup_tol = max(1e-9 * surface.chart_scale, 1e-12)
     paths = _dedup_paths(surface, paths, dedup_tol)
     paths.sort(key=lambda g: g.init_t)
     return paths
+
+
+def _through_cone_point(surface, path, ends):
+    """True when the path's polyline passes within rounding of a cone point
+    whose id is not in `ends`."""
+    tol = 1e-12 * surface.chart_scale
+    return any(dist_point_seg(corner, a, b) < tol
+               for face, a, b in path.polyline
+               for corner, vid in zip(surface.corners[face],
+                                      surface.face_vids[face])
+               if vid not in ends)
 
 
 class ConePath(NamedTuple):
@@ -561,20 +576,19 @@ def _cone_maps(surface):
     return maps
 
 
-def paths_to_cone_points(surface, p, *, eps_tie=None):
+def paths_to_cone_points(surface, p):
     """Tied shortest paths from p to every cone point other than p:
     {vid: [ConePath]}, each list sorted by (length, init_t).
 
     Answered from the cone points' shortest-path maps, with no search from
     p. The paths from C count only once C's map reaches past the shortest
-    one plus eps_tie; a shallower map is rebuilt that deep, and at least
-    1% deeper, so that queries creeping outward rebuild it rarely. No
-    point lies farther from a cone point than the diameter plus the
-    longest edge, so a map that reaches that far and still finds no path
-    gives up (the list is empty).
+    one plus `surface.eps_tie`; a shallower map is rebuilt that deep, and
+    at least 1% deeper, so that queries creeping outward rebuild it
+    rarely. No point lies farther from a cone point than the diameter
+    plus the longest edge, so a map that reaches that far and still finds
+    no path gives up (the list is empty).
     """
-    if eps_tie is None:
-        eps_tie = surface.eps_tie
+    eps_tie = surface.eps_tie
     tol = 1e-12 * surface.chart_scale
     reach = surface.diameter + surface.chart_scale + eps_tie + 2.0 * tol
     copies, graze = _target_copies(surface, p)
@@ -645,15 +659,14 @@ class Lune:
     cone_vids: list
 
 
-def lunes(surface, p, q, *, paths=None, eps_tie=None):
+def lunes(surface, p, q):
     """Lunes bounded by consecutive minimizers from p to q.
 
     A cone point is assigned to the lune whose angular sector at p contains
     the initial direction of a minimizer [p, C]: minimizers from a common
     source meet only at the source, so the whole cut stays in one lune.
     """
-    if paths is None:
-        paths = minimizers(surface, p, q, eps_tie=eps_tie)
+    paths = minimizers(surface, p, q)
     if not paths:
         raise ValueError("no minimizers between p and q")
     atlas_p = DirectionAtlas.at(surface, p)
@@ -686,7 +699,7 @@ def lunes(surface, p, q, *, paths=None, eps_tie=None):
     return out
 
 
-def trace_ray(surface, atlas, t, length, *, max_steps=100000):
+def trace_ray(surface, atlas, t, length):
     """Walk a geodesic of given length from the atlas point in direction t.
 
     Returns (SurfacePoint, final_face_to_frame_iso) where the frame has the
@@ -700,7 +713,7 @@ def trace_ray(surface, atlas, t, length, *, max_steps=100000):
     remaining = length
     tol = 1e-12 * surface.chart_scale
     entry = None
-    for _ in range(max_steps):
+    for _ in range(100000):
         best_t = math.inf
         best_e = None
         for e in range(3):

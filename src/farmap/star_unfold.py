@@ -164,15 +164,13 @@ class StarPolygon:
 
 
 class StarUnfolding(StarPolygon):
-    def __init__(self, surface, source, *, eps_tie=None):
+    def __init__(self, surface, source):
         source = surface.canonical(source)
         self.source = source
-        if eps_tie is None:
-            eps_tie = surface.eps_tie
         self.atlas = DirectionAtlas.at(surface, source)
         self.theta_source = self.atlas.total
 
-        tied = paths_to_cone_points(surface, source, eps_tie=eps_tie)
+        tied = paths_to_cone_points(surface, source)
         cuts = []
         for vid, paths in tied.items():
             if not paths:
@@ -297,27 +295,23 @@ class StarUnfolding(StarPolygon):
             img = Iso.rotation(self.theta_source).apply(img)
         return self.wedges[n].apply(img), t_chart
 
-    def visible_images(self, a, eps=None):
+    def visible_images(self, a):
         """Indices i with [a, phi_i] a star path, with their distances."""
         out = []
         for i, phi in enumerate(self.source_images):
-            if self.is_star_path(a, phi, eps):
+            if self.is_star_path(a, phi):
                 out.append((i, math.dist(a, phi)))
         return out
 
-    def fold_back(self, a, *, eps=None, with_transform=False, index=None):
+    def fold_back(self, a, *, with_transform=False):
         """Surface point whose developed image is a (strictly inside)."""
         if not self.contains(a) or self.boundary_distance(
                 a) < 1e-12 * self.surface.chart_scale:
             raise OutsidePolygon(f"{a} is not strictly inside the polygon")
-        if index is None:
-            vis = self.visible_images(a, eps)
-            if not vis:
-                raise OutsidePolygon(f"no source image sees {a}")
-            i, d = min(vis, key=lambda t: t[1])
-        else:
-            i = index
-            d = math.dist(a, self.source_images[i])
+        vis = self.visible_images(a)
+        if not vis:
+            raise OutsidePolygon(f"no source image sees {a}")
+        i, d = min(vis, key=lambda t: t[1])
         v = self.wedges[i].inverse().apply(a)
         t_bar = math.atan2(v[1], v[0])
         lo = self.cuts[i].unwrapped
@@ -334,13 +328,7 @@ class StarUnfolding(StarPolygon):
         t_chart = self._chart_to_polygon(i, lifted, t_iso)
         return pt, t_chart
 
-    def distance_from_source(self, a):
-        vis = self.visible_images(a)
-        if not vis:
-            raise OutsidePolygon(f"no source image sees {a}")
-        return min(d for _, d in vis)
-
-    def fold_segment(self, a, b, *, max_pieces=200):
+    def fold_segment(self, a, b):
         """Surface polyline of the straight segment [a, b].
 
         The open segment must lie inside the polygon; endpoints may sit on
@@ -353,7 +341,7 @@ class StarUnfolding(StarPolygon):
         delta = 1e-9
         pieces = []
         t = 0.0
-        for _ in range(max_pieces):
+        for _ in range(200):
             probe = min(t + delta, 0.5 * (t + 1.0))
             pa = (a[0] + probe * (b[0] - a[0]), a[1] + probe * (b[1] - a[1]))
             sp, t_chart = self.fold_back(pa, with_transform=True)
@@ -398,6 +386,6 @@ def _clip_param_to_triangle(a, b, tri, tol):
     return (s0, max(s0, s1))
 
 
-def unfold(surface, source, **kwargs):
+def unfold(surface, source):
     """Build the star unfolding around `source` (phi(p) when evaluating f)."""
-    return StarUnfolding(surface, source, **kwargs)
+    return StarUnfolding(surface, source)

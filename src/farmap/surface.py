@@ -251,15 +251,34 @@ class ConeSurface:
             self._diameter = best
         return self._diameter
 
-    # -- default tolerance scales ----------------------------------------
+    # -- default tolerances ----------------------------------------------
+    # The only source of the default tolerances: the CLI's --tol-* flags
+    # override eps_geom, eps_fix, eps_conv and eps_curve per run.
 
     @property
     def eps_geom(self):
+        """Numerical zero of a length."""
         return 1e-9 * self.diameter
 
     @property
     def eps_tie(self):
+        """Lengths this close are tied (minimizers, farthest points)."""
         return 1e-7 * self.diameter
+
+    @property
+    def eps_fix(self):
+        """Largest fixed-point residual of a certified limit."""
+        return 1e-6 * self.diameter
+
+    @property
+    def eps_conv(self):
+        """Orbit steps shorter than this count toward convergence."""
+        return 1e-8 * self.diameter
+
+    @property
+    def eps_curve(self):
+        """Distance of a curve sample from its equation's zero set."""
+        return 1e-6 * self.diameter
 
     def validate(self, eps_metric=1e-7):
         """Run the construction invariants; raises on failure."""
@@ -341,7 +360,9 @@ def build_from_vertices(vertices, eps_rel=1e-9):
     from scipy.spatial._qhull import QhullError
 
     pts = np.asarray(vertices, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != 3 or len(pts) < 4:
+    if pts.ndim != 2 or pts.shape[1] != 3:
+        raise FarmapError("vertices must be a list of 3-D points")
+    if len(pts) < 4:
         raise DegenerateHull("need at least 4 points in R^3")
     scale = float(np.abs(pts).max())
     eps = eps_rel * scale * 100.0

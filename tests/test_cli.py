@@ -4,7 +4,8 @@ from pathlib import Path
 
 import pytest
 
-from farmap.cli import main
+from farmap import presets
+from farmap.cli import RunConfig, main
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -72,6 +73,17 @@ def test_non_numeric_vertices_is_usage_error(tmp_path):
     assert rc == 1
 
 
+@pytest.mark.parametrize("vertices", [
+    [[1, 0], [-1, 0], [0, 1], [0, -1]],
+    5,
+])
+def test_vertices_not_3d_points_is_usage_error(tmp_path, vertices):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"vertices": vertices}))
+    rc = main(["validate", "--input", str(bad), "--out", str(tmp_path)])
+    assert rc == 1
+
+
 def test_vertices_file_roundtrip(tmp_path):
     src = tmp_path / "octa.json"
     src.write_text(json.dumps({"vertices": [
@@ -131,6 +143,33 @@ def test_orbit_command_and_determinism(tmp_path):
     for radii in by_orbit.values():
         for a, b in zip(radii, radii[1:]):
             assert b >= a - 1e-6
+
+
+def test_run_config_tolerances_come_from_the_surface(tmp_path):
+    s = presets.make("perturbed-octahedron:seed=1")
+    cfg = RunConfig(surface=s, out=str(tmp_path))
+    assert cfg.tol_geom == s.eps_geom
+    assert cfg.tol_fix == s.eps_fix
+    assert cfg.tol_conv == s.eps_conv
+    assert cfg.tol_curve == s.eps_curve
+
+
+def test_default_tolerance_flags_change_no_output(tmp_path):
+    """Each --tol-* flag set to the repr of its default writes the same
+    files as a run without the flags."""
+    s = presets.make("regular-octahedron")
+    base = ["orbit", "--preset", "regular-octahedron", "--orbits", "2",
+            "--seed", "0"]
+    flags = []
+    for name in ("geom", "fix", "conv", "curve"):
+        flags += [f"--tol-{name}", repr(getattr(s, f"eps_{name}"))]
+    assert main(base + ["--out", str(tmp_path / "a")]) == 0
+    assert main(base + flags + ["--out", str(tmp_path / "b")]) == 0
+    names = sorted(p.name for p in (tmp_path / "a").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "b").iterdir())
+    for name in names:
+        assert (tmp_path / "a" / name).read_bytes() == \
+            (tmp_path / "b" / name).read_bytes()
 
 
 def test_report_selftest_cycle_flips_theorem1(tmp_path):

@@ -284,8 +284,8 @@ def test_result_good_rebuilds_what_evaluate_f_found(perturbed, fresh_rng,
     found = []
     real = farthest.good_triples
 
-    def recording(u, eps=None):
-        found.append(real(u, eps))
+    def recording(u):
+        found.append(real(u))
         return found[-1]
 
     monkeypatch.setattr(farthest, "good_triples", recording)

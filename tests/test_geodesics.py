@@ -95,6 +95,21 @@ def test_minimizer_interiors_avoid_cone_points(octa, fresh_rng):
                 assert gap > octa.eps_geom
 
 
+def test_minimizers_skip_a_cone_point_next_to_the_source(cube):
+    """From a source 1.4e-8 off a cube corner V the search also finds the
+    path p -> V -> C, which bends at V; minimizers drops it, and agrees
+    with the cone-point maps."""
+    p = SurfacePoint(1, 1.3416407864998741e-08, 4.4721359549995795e-09)
+    paths = minimizers(cube, p, cube.vertex_point(7))
+    assert len(paths) == len(paths_to_cone_points(cube, p)[7]) == 7
+    tol = 1e-12 * cube.chart_scale
+    for g in paths:
+        for face, a, b in g.polyline:
+            for corner, vid in zip(cube.corners[face],
+                                   cube.face_vids[face]):
+                assert vid == 7 or dist_point_seg(corner, a, b) >= tol
+
+
 def test_distinct_minimizers_meet_only_at_endpoints(octa):
     v0 = octa.vertex_point(0)
     v1 = octa.vertex_point(octa.cone_points[0].antipode)
