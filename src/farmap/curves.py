@@ -10,6 +10,7 @@ isometries give at it.
 """
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -36,18 +37,25 @@ FIT_TOL = 1e-9
 @dataclass
 class RationalMap:
     """Circumcenter of (I_i(x,y), I_j(x,y), I_k(x,y)) as (Q1/Q3, Q2/Q3)
-    with Q* bivariate polynomials of degree <= 2."""
+    with Q* bivariate polynomials of degree <= 2, their coefficients held
+    as tuples of floats."""
     indices: tuple
-    q1: np.ndarray
-    q2: np.ndarray
-    q3: np.ndarray
+    q1: tuple
+    q2: tuple
+    q3: tuple
 
     def degree_bound_ok(self):
         return len(self.q1) == 6 and len(self.q2) == 6 and len(self.q3) == 6
 
     def eval(self, x, y):
         den = _qeval(self.q3, x, y)
-        return (_qeval(self.q1, x, y) / den, _qeval(self.q2, x, y) / den)
+        n1, n2 = _qeval(self.q1, x, y), _qeval(self.q2, x, y)
+        try:
+            return (n1 / den, n2 / den)
+        except ZeroDivisionError:
+            # a float denominator of zero divides as arrays do: inf or nan
+            den = np.float64(den)
+            return (n1 / den, n2 / den)
 
     def denominator(self, x, y):
         return _qeval(self.q3, x, y)
@@ -98,7 +106,8 @@ def build_rational_map(region, triple):
     q3 = aff_mul(a1x, a2y) - aff_mul(a1y, a2x)
     q1 = aff_mul(b1, a2y) - aff_mul(b2, a1y)
     q2 = aff_mul(a1x, b2) - aff_mul(a2x, b1)
-    return RationalMap((i, j, k), q1, q2, q3)
+    return RationalMap((i, j, k), tuple(q1.tolist()), tuple(q2.tolist()),
+                       tuple(q3.tolist()))
 
 
 def _triple_distance(region, rmap, x, y):
@@ -181,14 +190,18 @@ def _marching_squares(vals, ok, xs, ys, center_fn):
     """
     sgn = np.where(vals > 0, 1, -1)
     usable = ok & np.isfinite(vals)
+    # the scan reads Python copies, so crossing points and brackets are
+    # floats and every later scalar evaluation runs on floats
+    sgn_l, vals_l = sgn.tolist(), vals.tolist()
+    xs, ys = xs.tolist(), ys.tolist()
     cross_pts = {}
 
     def edge_point(i0, j0, i1, j1):
         key = ((i0, j0), (i1, j1))
         if key in cross_pts:
             return cross_pts[key]
-        x0, y0, v0 = xs[j0], ys[i0], vals[i0, j0]
-        x1, y1, v1 = xs[j1], ys[i1], vals[i1, j1]
+        x0, y0, v0 = xs[j0], ys[i0], vals_l[i0][j0]
+        x1, y1, v1 = xs[j1], ys[i1], vals_l[i1][j1]
         w = v0 / (v0 - v1)
         p = ((x0 + w * (x1 - x0), y0 + w * (y1 - y0)),
              (x0, y0, x1, y1, v0, v1))
@@ -205,12 +218,11 @@ def _marching_squares(vals, ok, xs, ys, center_fn):
     active = np.argwhere(u00 & mixed)
 
     segments = []
-    for i, j in active:
-        i, j = int(i), int(j)
+    for i, j in active.tolist():
         corners = ((i, j), (i, j + 1), (i + 1, j + 1), (i + 1, j))
         code = 0
-        for bit, c in enumerate(corners):
-            if sgn[c] > 0:
+        for bit, (ci, cj) in enumerate(corners):
+            if sgn_l[ci][cj] > 0:
                 code |= 1 << (3 - bit)
         if code in (0, 15):
             continue
@@ -235,7 +247,7 @@ def _marching_squares(vals, ok, xs, ys, center_fn):
             keys = []
             for e in (e0, e1):
                 c0, c1 = cell_edges[e]
-                if sgn[c0] == sgn[c1]:
+                if sgn_l[c0[0]][c0[1]] == sgn_l[c1[0]][c1[1]]:
                     break
                 pts.append(edge_point(*c0, *c1))
                 keys.append((min(c0, c1), max(c0, c1)))
@@ -383,12 +395,10 @@ def probe_equations(surface, region):
     probes.extend(sp for _, sp in region.interior_samples(count=3))
 
     pairs1, pairs2, pairs3 = set(), set(), set()
-    triples = set()
     for sp in probes:
         u = unfold(surface, surface.antipode(sp))
         res = evaluate_f(surface, sp, unfolding=u)
         goods = sorted(g.indices for g in res.good)
-        triples.update(goods)
         near_cones = [n for n, cut in enumerate(u.cuts)
                       if cut.length >= res.radius - slack]
         for ta, tb in combinations(goods, 2):
@@ -398,7 +408,7 @@ def probe_equations(surface, region):
                 pairs2.add((ta, n))
         for m, n in combinations(sorted(near_cones), 2):
             pairs3.add((m, n))
-    return pairs1, pairs2, pairs3, sorted(triples)
+    return pairs1, pairs2, pairs3
 
 
 def trace_curves(surface, region, resolution=512, *, eps_curve=None,
@@ -428,7 +438,7 @@ def trace_curves(surface, region, resolution=512, *, eps_curve=None,
     # one errstate for every field evaluation, grid and scalar alike: a
     # vanishing circumcenter denominator gives inf, not a warning
     with np.errstate(all="ignore"):
-        p1, p2, p3, _ = probe_equations(surface, region)
+        p1, p2, p3 = probe_equations(surface, region)
         equations = _region_equations(surface, region, p1, p2, p3)
 
         poly = region.polygon
@@ -562,8 +572,7 @@ def _validate_and_label(surface, region, eq, chain, *, eps_tie, eps_curve,
     # propagate each verdict to the nearest validated sample
     full = []
     for idx in range(len(chain)):
-        j = min(validated, key=lambda v: abs(v - idx))
-        s = samples[j]
+        s = samples[_nearest_sorted(validated, idx)]
         full.append(CurveSample(pt(idx), s.valid, s.label, s.residual,
                                 s.d_gap))
 
@@ -579,6 +588,15 @@ def _validate_and_label(surface, region, eq, chain, *, eps_tie, eps_curve,
     if len(run) >= 2:
         curves.append(_make_curve(region, eq, full, run))
     return curves
+
+
+def _nearest_sorted(values, x):
+    """The element of the sorted, non-empty list `values` nearest to x,
+    the lower one on a tie."""
+    k = bisect_left(values, x)
+    if k == len(values) or (k > 0 and x - values[k - 1] <= values[k] - x):
+        k -= 1
+    return values[k]
 
 
 def _make_curve(region, eq, full, run):
@@ -618,34 +636,27 @@ def _classify_sample(surface, region, eq, xy, eps_tie, eps_curve, eps_fix):
     except KeyError:
         return CurveSample(xy, False, NEITHER, resid, math.inf)
     u = region.star_polygon(surface, xy)
+    # goodness before the d-check: most samples fail it, and it costs less
+    # than ranking the Voronoi candidates for d(p); type 3 names no triple
+    triples = {"type1": eq.data, "type2": eq.data[:1]}.get(eq.kind, ())
+    if not all(triple_conditions(u, t, slack=tol_d) is not None
+               for t in triples):
+        return CurveSample(xy, False, NEITHER, resid, math.inf)
     d_gap = abs(val - max(max_good_radius(u), d_lo))
     if d_gap > tol_d:
         return CurveSample(xy, False, NEITHER, resid, d_gap)
 
-    def nearly_good(t):
-        return triple_conditions(u, t, slack=tol_d) is not None
-
-    label = NEITHER
-    if eq.kind == "type1":
-        ta, tb = eq.data
-        if not (nearly_good(ta) and nearly_good(tb)):
-            return CurveSample(xy, False, NEITHER, resid, d_gap)
-        rma = _cached_rmap(region, ta)
-        rmb = _cached_rmap(region, tb)
-        fa = rma.eval(*xy)
-        fb = rmb.eval(*xy)
-        if math.dist(fa, fb) > max(eps_fix, 20 * eps_curve):
-            label = MULTI_VALUED
-        else:
-            mid = ((fa[0] + fb[0]) / 2, (fa[1] + fb[1]) / 2)
-            label = LIMIT if math.dist(mid, xy) < eps_fix else NEITHER
-    elif eq.kind == "type2":
-        ta, n = eq.data
-        if not nearly_good(ta):
-            return CurveSample(xy, False, NEITHER, resid, d_gap)
-        label = MULTI_VALUED  # cone point plus an interior farthest point
+    if eq.kind != "type1":
+        # type 2: a cone point plus an interior farthest point; type 3: two
+        # cone points both farthest
+        return CurveSample(xy, True, MULTI_VALUED, resid, d_gap)
+    fa = _cached_rmap(region, eq.data[0]).eval(*xy)
+    fb = _cached_rmap(region, eq.data[1]).eval(*xy)
+    if math.dist(fa, fb) > max(eps_fix, 20 * eps_curve):
+        label = MULTI_VALUED
     else:
-        label = MULTI_VALUED  # two cone points both farthest
+        mid = ((fa[0] + fb[0]) / 2, (fa[1] + fb[1]) / 2)
+        label = LIMIT if math.dist(mid, xy) < eps_fix else NEITHER
     return CurveSample(xy, True, label, resid, d_gap)
 
 

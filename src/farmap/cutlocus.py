@@ -352,14 +352,8 @@ class Region:
         """Star polygon of phi(q) for the point q at chart position xy, in
         the region plane: source images I_n(xy), cone images C_n, in the
         index order of the fitted unfoldings."""
-        # plain floats: the fitted parameters are numpy scalars, whose
-        # arithmetic would slow every predicate on the polygon
-        imgs = []
-        for iso in self.isometries:
-            x, y = iso.apply(xy)
-            imgs.append((float(x), float(y)))
-        cones = [(float(x), float(y)) for x, y in self.cone_constants]
-        return StarPolygon(surface, imgs, cones)
+        imgs = [iso.apply(xy) for iso in self.isometries]
+        return StarPolygon(surface, imgs, self.cone_constants)
 
     def contains_planar(self, xy, margin=0.0):
         if not point_in_polygon(xy, self.polygon):
@@ -724,7 +718,7 @@ def region_isometries(surface, region):
         arr = np.array(cone_dst[n])
         spread = float(np.max(np.ptp(arr, axis=0)))
         worst = max(worst, spread)
-        consts.append(tuple(arr.mean(axis=0)))
+        consts.append(tuple(arr.mean(axis=0).tolist()))
     region.isometries = isos
     region.cone_constants = consts
     region.cone_order = order

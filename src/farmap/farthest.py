@@ -210,8 +210,3 @@ def evaluate_f(surface, p, *, eps_tie=None, unfolding=None):
     return FarthestResult(surface, u.source, m1, m2, radius, points,
                           gts if unfolding is not None else None,
                           _unfolding=unfolding)
-
-
-def radius(surface, p, **kwargs):
-    """d(p): distance from p to its farthest points."""
-    return evaluate_f(surface, p, **kwargs).radius

@@ -256,7 +256,10 @@ def fit_reversing_isometry(src, dst):
     if np.linalg.det(m) > 0:
         m = u @ np.diag([1.0, d]) @ vt  # fallback; should not trigger
     t = cd - m @ cs
-    iso = Iso(m[0, 0], m[0, 1], m[1, 0], m[1, 1], t[0], t[1])
+    # plain floats: numpy-scalar arithmetic in every later apply would be
+    # several times slower, for the same IEEE results
+    iso = Iso(float(m[0, 0]), float(m[0, 1]), float(m[1, 0]),
+              float(m[1, 1]), float(t[0]), float(t[1]))
     pred = src @ m.T + t
     rms = float(np.sqrt(((pred - dst) ** 2).sum(axis=1).mean()))
     return iso, rms

@@ -295,23 +295,21 @@ class StarUnfolding(StarPolygon):
             img = Iso.rotation(self.theta_source).apply(img)
         return self.wedges[n].apply(img), t_chart
 
-    def visible_images(self, a):
-        """Indices i with [a, phi_i] a star path, with their distances."""
-        out = []
-        for i, phi in enumerate(self.source_images):
-            if self.is_star_path(a, phi):
-                out.append((i, math.dist(a, phi)))
-        return out
-
     def fold_back(self, a, *, with_transform=False):
         """Surface point whose developed image is a (strictly inside)."""
         if not self.contains(a) or self.boundary_distance(
                 a) < 1e-12 * self.surface.chart_scale:
             raise OutsidePolygon(f"{a} is not strictly inside the polygon")
-        vis = self.visible_images(a)
-        if not vis:
+        # the nearest source image that sees a, the lower index on a tie:
+        # images are tried in (distance, index) order, so the first star
+        # path is that one
+        ranked = sorted((math.dist(a, phi), i)
+                        for i, phi in enumerate(self.source_images))
+        for d, i in ranked:
+            if self.is_star_path(a, self.source_images[i]):
+                break
+        else:
             raise OutsidePolygon(f"no source image sees {a}")
-        i, d = min(vis, key=lambda t: t[1])
         v = self.wedges[i].inverse().apply(a)
         t_bar = math.atan2(v[1], v[0])
         lo = self.cuts[i].unwrapped

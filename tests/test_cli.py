@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 from pathlib import Path
@@ -143,6 +144,17 @@ def test_orbit_command_and_determinism(tmp_path):
     for radii in by_orbit.values():
         for a, b in zip(radii, radii[1:]):
             assert b >= a - 1e-6
+
+
+def test_curves_output_digest_is_pinned(tmp_path):
+    """curves.json on the perturbed octahedron, pinned byte for byte: a
+    change to curve tracing that moves any float or decision shows here."""
+    rc = main(["curves", "--preset", "perturbed-octahedron:seed=1",
+               "--res", "24", "--seed", "1", "--out", str(tmp_path)])
+    assert rc == 0
+    digest = hashlib.sha256((tmp_path / "curves.json").read_bytes())
+    assert digest.hexdigest() == (
+        "0374c1e148bdceaa003a93696393dff3957f0a7ee212d40af691a657be4a9282")
 
 
 def test_run_config_tolerances_come_from_the_surface(tmp_path):

@@ -7,12 +7,15 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from farmap import cutlocus
 from farmap.curves import (LIMIT, MULTI_VALUED, NEITHER, CurveSample,
-                           _make_curve, active_from_displacement,
-                           build_rational_map, check_rational_representation,
-                           hyperbola_form, limit_line_solve, trace_curves)
+                           _make_curve, _marching_squares, _nearest_sorted,
+                           active_from_displacement, build_rational_map,
+                           check_rational_representation, hyperbola_form,
+                           limit_line_solve, trace_curves)
 from farmap.dynamics import iterate
 from farmap.errors import FitDegenerate, NoSolution
 from farmap.farthest import evaluate_f
@@ -55,6 +58,51 @@ def test_denominator_is_image_area(octa_regions, fresh_rng):
                  - (pj[1] - pi[1]) * (pk[0] - pi[0]))
         assert rm.denominator(np.float64(x), np.float64(y)) == \
             pytest.approx(4 * area2, rel=1e-9, abs=1e-12)
+
+
+def _all_floats(values):
+    return all(type(v) is float for v in values)
+
+
+def test_region_fits_and_rational_maps_hold_python_floats(octa_regions):
+    """Curve tracing evaluates the fitted coefficients at every sample;
+    numpy scalars there would give the same values several times slower."""
+    region = octa_regions.regions[0]
+    assert _all_floats(v for iso in region.isometries
+                       for v in (iso.a, iso.b, iso.c, iso.d, iso.tx, iso.ty))
+    assert _all_floats(v for c in region.cone_constants for v in c)
+    rm = build_rational_map(region, (0, 1, 2))
+    assert _all_floats(v for q in (rm.q1, rm.q2, rm.q3) for v in q)
+
+
+def test_marching_squares_brackets_hold_python_floats():
+    xs = np.linspace(0.0, 1.0, 5)
+    ys = np.linspace(0.0, 1.0, 5)
+    gx, gy = np.meshgrid(xs, ys)
+    vals = gx - 0.3 + 0.1 * gy
+    chains = _marching_squares(vals, np.ones(vals.shape, dtype=bool), xs, ys,
+                               lambda x, y: x - 0.3 + 0.1 * y)
+    assert chains
+    for chain in chains:
+        for p, bracket in chain:
+            assert _all_floats(p) and _all_floats(bracket)
+
+
+def test_rational_map_zero_denominator_divides_like_arrays(octa_regions):
+    """At a float zero of Q3 the map gives what numpy division gives
+    (inf or nan), as on the contour grid, instead of raising."""
+    rm = build_rational_map(octa_regions.regions[0], (0, 1, 2))
+    zero = type(rm)(rm.indices, (1.0,) + (0.0,) * 5, (0.0,) * 6, (0.0,) * 6)
+    with np.errstate(all="ignore"):
+        fx, fy = zero.eval(0.5, 0.25)
+    assert fx == math.inf and math.isnan(fy)
+
+
+@given(st.lists(st.integers(0, 60), min_size=1, unique=True),
+       st.integers(-5, 65))
+def test_nearest_sorted_matches_min_with_lower_tie(values, x):
+    values.sort()
+    assert _nearest_sorted(values, x) == min(values, key=lambda v: abs(v - x))
 
 
 def test_three_label_classes_on_octahedron(octa_curves):

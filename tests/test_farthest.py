@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from farmap import farthest, presets
 from farmap.errors import VoronoiDegeneracy
 from farmap.farthest import (evaluate_f, good_triples, max_good_radius,
-                             radius, triple_conditions)
+                             triple_conditions)
 from farmap.geodesics import distance, minimizers
 from farmap.oracle import oracle_distance_field
 from farmap.star_unfold import StarUnfolding, unfold
@@ -75,9 +75,9 @@ def test_radius_properties(octa, fresh_rng):
     r = fresh_rng(4)
     for _ in range(10):
         p = octa.random_point(r)
-        assert radius(octa, p) == pytest.approx(
-            radius(octa, octa.antipode(p)), abs=1e-9)
         res = evaluate_f(octa, p)
+        assert res.radius == pytest.approx(
+            evaluate_f(octa, octa.antipode(p)).radius, abs=1e-9)
         assert res.radius >= max(c.length for c in res.unfolding.cuts) - 1e-12
         assert res.radius > 0
 

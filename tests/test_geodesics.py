@@ -126,12 +126,16 @@ def test_distinct_minimizers_meet_only_at_endpoints(octa):
                         assert gap > 1e-6
 
 
+def _radius(surface, p):
+    """d(p): distance from p to its farthest points."""
+    return evaluate_f(surface, p).radius
+
+
 def test_radius_is_lipschitz(octa, fresh_rng):
-    from farmap.farthest import radius
     r = fresh_rng(6)
     for _ in range(15):
         p, q = octa.random_point(r), octa.random_point(r)
-        dr = abs(radius(octa, p) - radius(octa, q))
+        dr = abs(_radius(octa, p) - _radius(octa, q))
         assert dr <= distance(octa, p, q) + octa.eps_geom
 
 
