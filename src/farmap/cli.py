@@ -124,8 +124,8 @@ def cmd_unfold(cfg, point=None):
     path = os.path.join(cfg.out, "star_unfolding.svg")
     with open(path, "w") as fh:
         fh.write(svg)
-    simple = polygon_is_simple(u.polygon, 1e-9 * s.chart_scale)
-    print(f"unfold: {len(u.polygon)}-gon, simple={simple}, "
+    simple = polygon_is_simple(u.vertices, 1e-9 * s.chart_scale)
+    print(f"unfold: {len(u.vertices)}-gon, simple={simple}, "
           f"closure={u.closure_error:.3g} -> {path}")
     return 0 if simple else 2
 
@@ -229,7 +229,7 @@ def cmd_curves(cfg):
     for r in dec.regions:
         entry = {
             "region": r.rid,
-            "corners": len(r.polygon),
+            "corners": len(r.polygon.vertices),
             "area": r.area,
             "convex_defect": r.convex_defect,
         }

@@ -18,9 +18,8 @@ import numpy as np
 
 from .errors import (AllTranslations, CompositionIsTranslation,
                      FitDegenerate, NoSolution)
-from .cutlocus import _cell_transform
 from .farthest import evaluate_f, max_good_radius, triple_conditions
-from .geom import aff, aff_mul, glide_decomposition, point_in_polygon
+from .geom import aff, aff_mul, glide_decomposition
 from .star_unfold import unfold
 
 MULTI_VALUED = "multi-valued"
@@ -294,14 +293,14 @@ def _chain_segments(segments):
     return chains
 
 
-def _bisect_refine(fn, x0, y0, x1, y1, v0, v1, tol, iters=44):
+def _bisect_refine(fn, x0, y0, x1, y1, v0, v1, tol):
     a, fa = (x0, y0), v0
     b, fb = (x1, y1), v1
     if fa == 0:
         return a
     if fb == 0:
         return b
-    for _ in range(iters):
+    for _ in range(44):
         m = ((a[0] + b[0]) / 2, (a[1] + b[1]) / 2)
         fm = fn(*m)
         if not math.isfinite(fm):
@@ -376,7 +375,7 @@ def probe_equations(surface, region):
     """
     grid = 6
     slack = 0.08 * surface.diameter
-    poly = region.polygon
+    poly = region.polygon.vertices
     xs0 = min(p[0] for p in poly)
     xs1 = max(p[0] for p in poly)
     ys0 = min(p[1] for p in poly)
@@ -387,7 +386,7 @@ def probe_equations(surface, region):
         for j in range(grid):
             x = xs0 + (i + 0.5) * (xs1 - xs0) / grid
             y = ys0 + (j + 0.5) * (ys1 - ys0) / grid
-            if region.contains_planar((x, y), margin):
+            if region.polygon.contains((x, y), margin):
                 try:
                     probes.append(region.chart_inverse((x, y)))
                 except KeyError:
@@ -441,7 +440,7 @@ def trace_curves(surface, region, resolution=512, *, eps_curve=None,
         p1, p2, p3 = probe_equations(surface, region)
         equations = _region_equations(surface, region, p1, p2, p3)
 
-        poly = region.polygon
+        poly = region.polygon.vertices
         xs0 = min(p[0] for p in poly)
         xs1 = max(p[0] for p in poly)
         ys0 = min(p[1] for p in poly)
@@ -472,12 +471,13 @@ def trace_curves(surface, region, resolution=512, *, eps_curve=None,
     return dedup_curves(out, 3.0 * cell)
 
 
-def _split_at_corners(chain, max_turn_deg=30.0):
-    """Break a (point, bracket) chain at sharp turns (branches of distinct
-    algebraic arcs can get glued where they cross)."""
+def _split_at_corners(chain):
+    """Break a (point, bracket) chain at turns sharper than 30 degrees
+    (branches of distinct algebraic arcs can get glued where they
+    cross)."""
     if len(chain) < 3:
         return [chain]
-    cos_lim = math.cos(math.radians(max_turn_deg))
+    cos_lim = math.cos(math.radians(30.0))
     pts = [p for p, _ in chain]
     pieces = []
     start = 0
@@ -803,7 +803,7 @@ def check_rational_representation(surface, region, curves, *,
     developing frame, so both sides are planar points.
     """
     grid = 24
-    poly = region.polygon
+    poly = region.polygon.vertices
     xs0 = min(p[0] for p in poly)
     xs1 = max(p[0] for p in poly)
     ys0 = min(p[1] for p in poly)
@@ -815,7 +815,7 @@ def check_rational_representation(surface, region, curves, *,
         for j in range(grid):
             x = xs0 + (i + 0.5) * (xs1 - xs0) / grid
             y = ys0 + (j + 0.5) * (ys1 - ys0) / grid
-            if not region.contains_planar((x, y), 0.3 * cell):
+            if not region.polygon.contains((x, y), 0.3 * cell):
                 continue
             near_curve = any(
                 _point_near_polyline((x, y), c.polyline, margin)
@@ -877,8 +877,7 @@ def check_rational_representation(surface, region, curves, *,
             rm = _cached_rmap(region, triple)
             pred = rm.eval(*xy)
             img, t_chart = u.dev_point(sp)
-            w = _cell_transform(region, sp)
-            anchor = w.compose(t_chart.inverse())
+            anchor = region.cell_of(sp).chart.compose(t_chart.inverse())
             true_pt = anchor.apply(fp.center)
             worst = max(worst, math.dist(pred, true_pt))
             checked += 1
@@ -893,7 +892,6 @@ def limit_line_solve(region, i, j, level, *, inside_only=True):
     within 1e-7 of the region boundary count as inside (limit points sit
     on the cut locus closure).
     """
-    from .geom import dist_point_polygon_boundary
     pt_i, u_i, b_i = glide_decomposition(region.isometries[i])
     pt_j, u_j, b_j = glide_decomposition(region.isometries[j])
     if level < abs(b_i) or level < abs(b_j):
@@ -915,9 +913,6 @@ def limit_line_solve(region, i, j, level, *, inside_only=True):
             ry = base_j[1] - base_i[1]
             s = (rx * u_j[1] - ry * u_j[0]) / d
             p = (base_i[0] + s * u_i[0], base_i[1] + s * u_i[1])
-            keep = (not inside_only or point_in_polygon(p, region.polygon)
-                    or dist_point_polygon_boundary(
-                        p, region.polygon) < 1e-7)
-            if keep:
+            if not inside_only or region.polygon.contains(p, -1e-7):
                 pts.append(p)
     return pts

@@ -10,15 +10,14 @@ point index (fitted from source-image positions of sampled unfoldings).
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.spatial import ConvexHull
 
 from .errors import ArrangementDegeneracy, FitDegenerate
-from .geom import (Iso, dist_point_seg, fit_reversing_isometry,
-                   point_in_polygon, polygon_signed_area,
-                   seg_seg_intersection)
+from .geom import (Iso, Polygon, dist_point_seg, fit_reversing_isometry,
+                   polygon_signed_area, seg_seg_intersection)
 from .star_unfold import StarPolygon, unfold
 from .surface import SurfacePoint
 
@@ -79,32 +78,6 @@ class CutLocusTree:
             len(self.edges) == len(self.nodes) - 1
 
 
-def _clip_segment_to_polygon(a, b, poly, tol):
-    """Sub-segments of [a, b] inside the simple polygon."""
-    cuts = [0.0, 1.0]
-    n = len(poly)
-    for i in range(n):
-        hit = seg_seg_intersection(a, b, poly[i], poly[(i + 1) % n])
-        if hit is None:
-            continue
-        t, u = hit
-        if -1e-12 <= u <= 1.0 + 1e-12 and 0.0 < t < 1.0:
-            cuts.append(t)
-    cuts = sorted(set(cuts))
-    out = []
-    for t0, t1 in zip(cuts, cuts[1:]):
-        if t1 - t0 < 1e-12:
-            continue
-        tm = 0.5 * (t0 + t1)
-        mid = (a[0] + tm * (b[0] - a[0]), a[1] + tm * (b[1] - a[1]))
-        if point_in_polygon(mid, poly):
-            p0 = (a[0] + t0 * (b[0] - a[0]), a[1] + t0 * (b[1] - a[1]))
-            p1 = (a[0] + t1 * (b[0] - a[0]), a[1] + t1 * (b[1] - a[1]))
-            if math.dist(p0, p1) > tol:
-                out.append((p0, p1))
-    return out
-
-
 def cut_locus(surface, vid):
     """Cut locus tree of cone point `vid` via the Voronoi characterization.
 
@@ -140,7 +113,7 @@ def cut_locus(surface, vid):
     merge = 2e-5 * surface.chart_scale
     segs = []
     for a, b in raw:
-        for p0, p1 in _clip_segment_to_polygon(a, b, u.polygon, tol):
+        for p0, p1 in u.clip_segment(a, b, tol):
             # boundary contacts live at cone images; snap them there
             p0 = _snap_to(p0, u.cone_images, snap)
             p1 = _snap_to(p1, u.cone_images, snap)
@@ -323,10 +296,23 @@ def _face_cells(tri, segments, tol):
 
 
 @dataclass
+class Cell:
+    """One arrangement cell of a region: its face, its outline in the face
+    chart, and the chart -> region-plane transform with its inverse."""
+    face: int
+    polygon: Polygon
+    chart: Iso
+    inverse: Iso = field(init=False)
+
+    def __post_init__(self):
+        self.inverse = self.chart.inverse()
+
+
+@dataclass
 class Region:
     rid: int
-    cells: list            # (face, cell polygon in face chart, W chart->plane)
-    polygon: list          # CCW convex boundary in the region plane
+    cells: list            # Cell per member (face, cell), in sorted order
+    polygon: Polygon       # CCW convex boundary in the region plane
     area: float
     convex_defect: float   # hull area minus cell area (should be ~0)
     isometries: list = None        # I_n per cone index
@@ -334,19 +320,37 @@ class Region:
     cone_order: list = None        # index n -> cone vid
     fit_residual: float = None
 
+    def cell_of(self, sp, tol=1e-9):
+        """The first cell on sp's face whose outline holds sp or passes
+        within tol of it; None if there is none."""
+        for cell in self.cells:
+            if cell.face == sp.face and cell.polygon.contains(sp.uv, -tol):
+                return cell
+        return None
+
+    def planar_cell(self, xy, tol=1e-9):
+        """(cell, face coordinates) of the first cell whose outline holds
+        the region-plane point xy or passes within tol of it; None if there
+        is none."""
+        for cell in self.cells:
+            uv = cell.inverse.apply(xy)
+            if cell.polygon.contains(uv, -tol):
+                return cell, uv
+        return None
+
     def chart(self, sp):
         """Region-plane coordinates of a surface point in this region."""
-        for face, poly, w in self.cells:
-            if face == sp.face and _in_poly_tol(sp.uv, poly):
-                return w.apply(sp.uv)
-        raise KeyError("point is not in this region")
+        cell = self.cell_of(sp)
+        if cell is None:
+            raise KeyError("point is not in this region")
+        return cell.chart.apply(sp.uv)
 
     def chart_inverse(self, xy):
-        for face, poly, w in self.cells:
-            uv = w.inverse().apply(xy)
-            if _in_poly_tol(uv, poly):
-                return SurfacePoint(face, uv[0], uv[1])
-        raise KeyError("planar point is not in this region")
+        hit = self.planar_cell(xy)
+        if hit is None:
+            raise KeyError("planar point is not in this region")
+        cell, uv = hit
+        return SurfacePoint(cell.face, uv[0], uv[1])
 
     def star_polygon(self, surface, xy):
         """Star polygon of phi(q) for the point q at chart position xy, in
@@ -355,33 +359,23 @@ class Region:
         imgs = [iso.apply(xy) for iso in self.isometries]
         return StarPolygon(surface, imgs, self.cone_constants)
 
-    def contains_planar(self, xy, margin=0.0):
-        if not point_in_polygon(xy, self.polygon):
-            return False
-        if margin > 0.0:
-            n = len(self.polygon)
-            return min(dist_point_seg(xy, self.polygon[i],
-                                      self.polygon[(i + 1) % n])
-                       for i in range(n)) > margin
-        return True
-
-    def interior_samples(self, count=5, margin_frac=0.05):
+    def interior_samples(self, count=5):
         """Spread points inside the region polygon, off the boundary.
 
         The margin shrinks progressively so that even slivers of tiny area
         yield the three non-collinear samples the isometry fit needs."""
-        hull = np.array(self.polygon)
+        hull = np.array(self.polygon.vertices)
         centroid = hull.mean(axis=0)
         scale = math.sqrt(max(self.area, 1e-300))
         cands = [tuple(centroid)]
         for shrink in (0.55, 0.3, 0.75, 0.15, 0.9):
             for v in hull:
                 cands.append(tuple(centroid + shrink * (v - centroid)))
-        for frac in (margin_frac, margin_frac / 4, margin_frac / 20, 0.0):
+        for frac in (0.05, 0.05 / 4, 0.05 / 20, 0.0):
             margin = frac * scale
             out = []
             for xy in cands:
-                if margin > 0 and not self.contains_planar(xy, margin):
+                if margin > 0 and not self.polygon.contains(xy, margin):
                     continue
                 try:
                     sp = self.chart_inverse(xy)
@@ -393,14 +387,6 @@ class Region:
             if len(out) >= min(count, 3):
                 return out
         return out
-
-
-def _in_poly_tol(p, poly, tol=1e-9):
-    if point_in_polygon(p, poly):
-        return True
-    n = len(poly)
-    return min(dist_point_seg(p, poly[i], poly[(i + 1) % n])
-               for i in range(n)) < tol
 
 
 class RegionDecomposition:
@@ -415,9 +401,8 @@ class RegionDecomposition:
         """Region id containing the surface point (boundary points get an
         arbitrary incident region)."""
         for r in self.regions:
-            for face, poly, w in r.cells:
-                if face == sp.face and _in_poly_tol(sp.uv, poly, 1e-7):
-                    return r.rid
+            if r.cell_of(sp, 1e-7) is not None:
+                return r.rid
         raise KeyError("point not located in any region")
 
 
@@ -458,7 +443,8 @@ def build_regions(surface):
     cells = {}
     for f in range(surface.n_faces):
         chords = _merge_collinear(interior[f], 1e-7, tol, tol)
-        cells[f] = _face_cells(surface.corners[f], chords, tol)
+        cells[f] = [Polygon(c) for c in
+                    _face_cells(surface.corners[f], chords, tol)]
 
     # glue cells across unblocked edge intervals
     parent = {}
@@ -490,14 +476,14 @@ def build_regions(surface):
             a = surface.corners[f][e]
             b = surface.corners[f][(e + 1) % 3]
             for cellpoly in cells[f]:
-                for v in cellpoly:
+                for v in cellpoly.vertices:
                     t = _edge_param(a, b, v, tol)
                     if t is not None:
                         breaks.add(t)
             for cellpoly in cells[f2]:
                 a2 = surface.corners[f2][e2]
                 b2 = surface.corners[f2][(e2 + 1) % 3]
-                for v in cellpoly:
+                for v in cellpoly.vertices:
                     t = _edge_param(a2, b2, v, tol)
                     if t is not None:
                         breaks.add(1.0 - t)
@@ -510,9 +496,9 @@ def build_regions(surface):
                        for blo, bhi in blocked):
                     continue
                 pm = (a[0] + tm * (b[0] - a[0]), a[1] + tm * (b[1] - a[1]))
-                c1 = _cell_at(surface, cells, f, pm, tol)
+                c1 = _cell_at(cells[f], pm, tol)
                 pm2 = t_into.inverse().apply(pm)
-                c2 = _cell_at(surface, cells, f2, pm2, tol)
+                c2 = _cell_at(cells[f2], pm2, tol)
                 if c1 is None or c2 is None:
                     raise ArrangementDegeneracy(
                         f"no cell found along edge ({f},{e})")
@@ -572,14 +558,12 @@ def _merge_intervals(ints, tol):
     return out
 
 
-def _cell_at(surface, cells, f, p, tol):
+def _cell_at(cells, p, tol):
     best, best_d = None, math.inf
-    for c, poly in enumerate(cells[f]):
-        if point_in_polygon(p, poly):
+    for c, poly in enumerate(cells):
+        if poly.contains(p):
             return c
-        n = len(poly)
-        d = min(dist_point_seg(p, poly[i], poly[(i + 1) % n])
-                for i in range(n))
+        d = poly.boundary_distance(p)
         if d < best_d:
             best, best_d = c, d
     return best if best_d < 10 * tol else None
@@ -605,7 +589,7 @@ def _develop_region(surface, cells, members, rid, tol):
                 w2 = w.compose(t_into)
                 if (f2, c2) in w_map:
                     prev = w_map[(f2, c2)]
-                    probe = cells[f2][c2][0]
+                    probe = cells[f2][c2].vertices[0]
                     if math.dist(prev.apply(probe), w2.apply(probe)) > \
                             100 * tol:
                         raise ArrangementDegeneracy(
@@ -623,13 +607,13 @@ def _develop_region(surface, cells, members, rid, tol):
     for (f, c) in members:
         poly = cells[f][c]
         w = w_map[(f, c)]
-        cell_list.append((f, poly, w))
-        area += abs(polygon_signed_area(poly))
-        pts.extend(w.apply(v) for v in poly)
+        cell_list.append(Cell(f, poly, w))
+        area += abs(polygon_signed_area(poly.vertices))
+        pts.extend(w.apply(v) for v in poly.vertices)
     hull = ConvexHull(np.array(pts))
     boundary = [tuple(np.array(pts)[i]) for i in hull.vertices]
     defect = hull.volume - area  # 2d hull "volume" is the area
-    return Region(rid, cell_list, boundary, area, defect)
+    return Region(rid, cell_list, Polygon(boundary), area, defect)
 
 
 def _cells_share_edge(surface, cells, f, c, e, f2, c2, tol):
@@ -654,7 +638,7 @@ def _cells_share_edge(surface, cells, f, c, e, f2, c2, tol):
 
 def _cell_edge_interval(poly, a, b, tol):
     ts = []
-    for v in poly:
+    for v in poly.vertices:
         t = _edge_param(a, b, v, tol)
         if t is not None:
             ts.append(t)
@@ -700,8 +684,7 @@ def region_isometries(surface, region):
                 f"region {region.rid}: cone indexing varies across samples "
                 f"({order} vs {this_order})")
         img, t_chart = u.dev_point(sp)
-        w = _cell_transform(region, sp)
-        anchor = w.compose(t_chart.inverse())
+        anchor = region.cell_of(sp).chart.compose(t_chart.inverse())
         for n in range(len(order)):
             per_index_src[n].append(xy)
             per_index_dst[n].append(anchor.apply(u.source_images[n]))
@@ -734,9 +717,3 @@ def _collinear(pts, rel=1e-6):
     s = np.linalg.svd(arr, compute_uv=False)
     return s[-1] < rel * (s[0] + 1e-300)
 
-
-def _cell_transform(region, sp):
-    for face, poly, w in region.cells:
-        if face == sp.face and _in_poly_tol(sp.uv, poly):
-            return w
-    raise KeyError("sample escaped its region")

@@ -37,6 +37,10 @@ class OutsidePolygon(FarmapError):
     """Planar point is not strictly inside the star polygon."""
 
 
+class OutsideFace(FarmapError):
+    """A computed surface point lies outside its face triangle."""
+
+
 class NotConverged(FarmapError):
     """Orbit did not converge, so no limit certificate exists."""
 

@@ -14,6 +14,7 @@ from itertools import combinations
 
 import numpy as np
 
+from .errors import OutsideFace
 from .geom import circumcenter
 from .star_unfold import unfold
 
@@ -174,7 +175,8 @@ def evaluate_f(surface, p, *, eps_tie=None, unfolding=None):
     cut choice, since a cut picked among wider near-ties can be longer
     than the distance to its cone point. A caller that needs the
     unfolding afterwards passes its own as `unfolding`, which the result
-    keeps, with its good triples.
+    keeps, with its good triples. A triple's farthest point that folds
+    back outside its face raises OutsideFace.
     """
     if eps_tie is None:
         eps_tie = surface.eps_tie
@@ -198,9 +200,12 @@ def evaluate_f(surface, p, *, eps_tie=None, unfolding=None):
             if dup is None:
                 centers.append((g.center, g))
         for c, g in centers:
-            pt = u.fold_back(c)
-            points.append(FarthestPoint(surface.canonical(pt), "triple",
-                                        c, g.radius, g.indices))
+            pt = surface.canonical(u.fold_back(c))
+            if not surface.contains(pt):
+                raise OutsideFace(
+                    f"farthest point {pt} lies outside its face")
+            points.append(FarthestPoint(pt, "triple", c, g.radius,
+                                        g.indices))
     if m2 >= m1 - eps_tie:
         for n, cut in enumerate(u.cuts):
             if cut.length >= m2 - eps_tie:

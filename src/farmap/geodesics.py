@@ -17,7 +17,7 @@ import heapq
 import itertools
 import math
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import SearchBudgetExceeded
@@ -131,7 +131,7 @@ class DirectionAtlas:
                 best = (t, over)
         return best
 
-    def angle_from_chart(self, face, vec, max_violation=1e-4):
+    def angle_from_chart(self, face, vec):
         """Atlas angle of a direction expressed in any chart at the point.
 
         The direction may lean numerically outside `face` (paths grazing a
@@ -165,7 +165,7 @@ class DirectionAtlas:
         if not cand:
             raise ValueError("face does not contain the point")
         t, violation = min(cand, key=lambda c: c[1])
-        if violation > max_violation:
+        if violation > 1e-4:
             raise ValueError(
                 f"direction misses every sector by {violation:.3g}")
         return t
@@ -184,7 +184,6 @@ class GeodesicPath:
     final_transform: Iso          # final face chart -> search frame
     target_img: tuple             # target image in the search frame
     polyline: list                # [(face, (u0,v0), (u1,v1)), ...]
-    face_sequence: list = field(default_factory=list)
 
     def point_at(self, s):
         """Surface point at arc length s from the source."""
@@ -340,7 +339,7 @@ def _children(surface, state, bound):
     return out
 
 
-def _search(surface, p, q, *, all_ties, eps_tie, budget):
+def _search(surface, p, q, *, eps_tie, budget):
     """Best-first unfolding search from p to q.
 
     Returns (best, cands) with cands a list of raw candidates
@@ -355,7 +354,7 @@ def _search(surface, p, q, *, all_ties, eps_tie, budget):
     counter = itertools.count()
 
     def bound():
-        return best + (eps_tie if all_ties else 0.0) + tol
+        return best + eps_tie + tol
 
     for root, t0, t1, kids in _start_states(surface, atlas):
         for tuv in targets.get(root[0], ()):
@@ -410,13 +409,11 @@ def _build_path(surface, p, q, length, q_img, state, atlas_q,
         pts.append((t * q_img[0], t * q_img[1]))
     pts.append(q_img)
     polyline = []
-    faces = []
     for i, s in enumerate(chain):
         inv = s[1].inverse()
         a = inv.apply(pts[i])
         b = inv.apply(pts[i + 1])
         polyline.append((s[0], a, b))
-        faces.append(s[0])
     init_t = math.atan2(q_img[1], q_img[0]) % TWO_PI
     if init_t >= source_total:
         # numerical wrap at the atlas seam of a cone-point source: planar
@@ -431,7 +428,7 @@ def _build_path(surface, p, q, length, q_img, state, atlas_q,
         source=p, target=q, length=length, init_t=init_t,
         arrival_t=arrival_t, start_face=start_face, final_face=final[0],
         final_transform=final[1], target_img=tuple(q_img),
-        polyline=polyline, face_sequence=faces)
+        polyline=polyline)
 
 
 def _dedup_paths(surface, paths, tol):
@@ -458,8 +455,7 @@ def distance(surface, p, q, *, budget=DEFAULT_BUDGET):
         # below the search's own coincidence tolerance the chart segment
         # is the distance (it never leaves the shared face pair)
         return gap
-    best, _ = _search(surface, p, q, all_ties=False, eps_tie=0.0,
-                      budget=budget)
+    best, _ = _search(surface, p, q, eps_tie=0.0, budget=budget)
     return best
 
 
@@ -473,7 +469,7 @@ def minimizers(surface, p, q):
     such paths, except past a cone point that p nearly touches.
     """
     eps_tie = surface.eps_tie
-    best, cands = _search(surface, p, q, all_ties=True, eps_tie=eps_tie,
+    best, cands = _search(surface, p, q, eps_tie=eps_tie,
                           budget=DEFAULT_BUDGET)
     atlas_q = DirectionAtlas.at(surface, q)
     total_p = DirectionAtlas.at(surface, p).total

@@ -1,5 +1,6 @@
 """Planar geometry primitives: rigid/reversing isometries, circumcenters,
-segment predicates, polygon tests, and small polynomial helpers.
+segment predicates, the polygon class that every polygon test goes
+through, and small polynomial helpers.
 
 All routines work on plain (x, y) float pairs so they stay cheap inside the
 geodesic search loops; numpy enters only for batched evaluation.
@@ -57,8 +58,8 @@ class Iso:
                       [src[2][0], src[2][1], 1.0]])
         dx = np.array([dst[0][0], dst[1][0], dst[2][0]])
         dy = np.array([dst[0][1], dst[1][1], dst[2][1]])
-        rx = np.linalg.solve(s, dx)
-        ry = np.linalg.solve(s, dy)
+        rx = np.linalg.solve(s, dx).tolist()
+        ry = np.linalg.solve(s, dy).tolist()
         return Iso(rx[0], rx[1], ry[0], ry[1], rx[2], ry[2])
 
     def apply(self, p):
@@ -180,27 +181,84 @@ def seg_seg_intersection(a, b, c, d):
     return (t, u)
 
 
-def point_in_polygon(p, poly):
-    """Even-odd rule; points on the boundary are unreliable here."""
-    x, y = p
-    inside = False
-    n = len(poly)
-    j = n - 1
-    for i in range(n):
-        xi, yi = poly[i]
-        xj, yj = poly[j]
-        if (yi > y) != (yj > y):
-            xcross = xi + (y - yi) / (yj - yi) * (xj - xi)
-            if x < xcross:
-                inside = not inside
-        j = i
-    return inside
+class Polygon:
+    """A polygon given by its vertex list, with a table of its edges built
+    once and the predicates that read it.
 
+    Edge k runs from vertex k to vertex k+1. Its row keeps both endpoints
+    verbatim (rebuilding one as start + vector would round), the edge
+    vector, its length and its squared length.
+    """
 
-def dist_point_polygon_boundary(p, poly):
-    n = len(poly)
-    return min(dist_point_seg(p, poly[i], poly[(i + 1) % n])
-               for i in range(n))
+    def __init__(self, vertices):
+        self.vertices = vertices
+        edges = []
+        n = len(vertices)
+        for k in range(n):
+            cx, cy = vertices[k]
+            dx, dy = vertices[(k + 1) % n]
+            sx, sy = dx - cx, dy - cy
+            edges.append((cx, cy, dx, dy, sx, sy, math.hypot(sx, sy),
+                          sx * sx + sy * sy))
+        self._edges = edges
+
+    def _inside(self, x, y):
+        """Even-odd rule; points on the boundary are unreliable here. The
+        crossing of edge k is measured from vertex k+1."""
+        inside = False
+        for xj, yj, xi, yi, _, _, _, _ in self._edges:
+            if (yi > y) != (yj > y):
+                if x < xi + (y - yi) / (yj - yi) * (xj - xi):
+                    inside = not inside
+        return inside
+
+    def boundary_distance(self, p):
+        """Distance from p to the boundary; each edge repeats the float
+        operations of `dist_point_seg`."""
+        px, py = p
+        best = math.inf
+        for cx, cy, _, _, sx, sy, _, n2 in self._edges:
+            if n2 == 0.0:
+                g = math.hypot(px - cx, py - cy)
+            else:
+                t = ((px - cx) * sx + (py - cy) * sy) / n2
+                t = 0.0 if t < 0.0 else (1.0 if t > 1.0 else t)
+                g = math.hypot(px - cx - t * sx, py - cy - t * sy)
+            if g < best:
+                best = g
+        return best
+
+    def contains(self, a, clearance=0.0):
+        """a is inside and farther than `clearance` from the boundary. A
+        negative clearance also admits points outside but nearer to the
+        boundary than -clearance."""
+        if self._inside(a[0], a[1]):
+            return clearance <= 0.0 or self.boundary_distance(a) > clearance
+        return clearance < 0.0 and self.boundary_distance(a) < -clearance
+
+    def clip_segment(self, a, b, tol):
+        """Sub-segments of [a, b] inside the polygon, longer than tol."""
+        cuts = [0.0, 1.0]
+        for cx, cy, dx, dy, _, _, _, _ in self._edges:
+            hit = seg_seg_intersection(a, b, (cx, cy), (dx, dy))
+            if hit is None:
+                continue
+            t, u = hit
+            if -1e-12 <= u <= 1.0 + 1e-12 and 0.0 < t < 1.0:
+                cuts.append(t)
+        cuts = sorted(set(cuts))
+        out = []
+        for t0, t1 in zip(cuts, cuts[1:]):
+            if t1 - t0 < 1e-12:
+                continue
+            tm = 0.5 * (t0 + t1)
+            mid = (a[0] + tm * (b[0] - a[0]), a[1] + tm * (b[1] - a[1]))
+            if self._inside(*mid):
+                p0 = (a[0] + t0 * (b[0] - a[0]), a[1] + t0 * (b[1] - a[1]))
+                p1 = (a[0] + t1 * (b[0] - a[0]), a[1] + t1 * (b[1] - a[1]))
+                if math.dist(p0, p1) > tol:
+                    out.append((p0, p1))
+        return out
 
 
 def polygon_signed_area(poly):

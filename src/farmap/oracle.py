@@ -22,12 +22,10 @@ from scipy.sparse.csgraph import dijkstra as _sp_dijkstra
 class OracleField:
     """Distances from one source on the subdivided mesh."""
 
-    def __init__(self, surface, level, node_pos, node_face_uv, values,
-                 mesh_edge):
+    def __init__(self, surface, level, node_face_uv, values, mesh_edge):
         self.surface = surface
         self.level = level
-        self.node_pos = node_pos          # node id -> (face, (u, v)) sample
-        self.node_face_uv = node_face_uv  # same, kept per lattice node
+        self.node_face_uv = node_face_uv  # node id -> (face, (u, v))
         self.values = values              # node id -> distance upper bound
         self.mesh_edge = mesh_edge        # max subdivided edge length
 
@@ -91,48 +89,51 @@ class _SubdividedGraph:
 
         rows, cols, vals = [], [], []
         for f in range(surface.n_faces):
-            ids = self.face_nodes[f]
+            ids = np.array(self.face_nodes[f])
             uv = self.face_node_uv[f]
-            d = np.sqrt(((uv[:, None, :] - uv[None, :, :]) ** 2).sum(-1))
-            for i in range(len(ids)):
-                for j in range(i + 1, len(ids)):
-                    rows.append(ids[i])
-                    cols.append(ids[j])
-                    vals.append(d[i, j])
-        self.matrix_parts = (rows, cols, vals)
+            i, j = np.triu_indices(len(ids), 1)
+            rows.append(ids[i])
+            cols.append(ids[j])
+            vals.append(np.sqrt(((uv[i] - uv[j]) ** 2).sum(-1)))
+        rows, cols, vals = (np.concatenate(x) for x in (rows, cols, vals))
+        # a chord between two nodes on one triangulation edge is seen from
+        # both faces at that edge; it enters once, at its shorter length
+        order = np.lexsort((vals, cols, rows))
+        rows, cols, vals = rows[order], cols[order], vals[order]
+        first = np.r_[True, (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])]
+        self.chords = (rows[first], cols[first], vals[first])
 
     def distances_from(self, surface, p):
         """Dijkstra distances from surface point p to all boundary nodes."""
-        rows, cols, vals = (list(self.matrix_parts[0]),
-                            list(self.matrix_parts[1]),
-                            list(self.matrix_parts[2]))
         src = self.n_nodes
-        faces = {p.face}
-        kind, info = surface.classify(p)
-        if kind == "edge":
-            f2, _ = surface.transport(*info, p.uv)
-            faces.add(f2)
-        elif kind == "vertex":
-            faces = {f for f, _ in surface.vertex_cycles[info]}
-        for f in faces:
-            if f == p.face:
-                uv_p = np.array(p.uv)
-            elif kind == "edge":
-                _, uv2 = surface.transport(*info, p.uv)
-                uv_p = np.array(uv2)
-            else:
-                c = [c for ff, c in surface.vertex_cycles[info] if ff == f][0]
-                uv_p = np.array(surface.corners[f][c])
-            uv = self.face_node_uv[f]
-            d = np.sqrt(((uv - uv_p) ** 2).sum(-1))
-            for i, nid in enumerate(self.face_nodes[f]):
-                rows.append(src)
-                cols.append(nid)
-                vals.append(float(d[i]))
+        # one chord per node: a node in two of p's faces enters once
+        chords = {}
+        for f, uv_p in _chart_copies(surface, p).items():
+            d = np.sqrt(((self.face_node_uv[f] - np.array(uv_p)) ** 2).sum(-1))
+            for nid, dn in zip(self.face_nodes[f], d.tolist()):
+                chords[nid] = min(chords.get(nid, math.inf), dn)
+        rows, cols, vals = self.chords
+        rows = np.concatenate([rows, np.full(len(chords), src)])
+        cols = np.concatenate([cols, list(chords)])
+        vals = np.concatenate([vals, list(chords.values())])
         n = self.n_nodes + 1
         mat = coo_matrix((vals, (rows, cols)), shape=(n, n))
         dist = _sp_dijkstra(mat, directed=False, indices=src)
         return dist[:self.n_nodes]
+
+
+def _chart_copies(surface, p):
+    """face -> uv of p in every face chart that holds it: its own face,
+    the partner face across an edge, or every face at a cone point."""
+    copies = {p.face: p.uv}
+    kind, info = surface.classify(p)
+    if kind == "edge":
+        f2, uv2 = surface.transport(*info, p.uv)
+        copies.setdefault(f2, uv2)
+    elif kind == "vertex":
+        for f, c in surface.vertex_cycles[info]:
+            copies.setdefault(f, surface.corners[f][c])
+    return copies
 
 
 # surface -> {level: graph}. Graphs hold no reference to their surface,
@@ -153,30 +154,14 @@ def oracle_distance(surface, p, q, level):
     get the direct chord."""
     g = _graph(surface, level)
     bdist = g.distances_from(surface, p)
-    faces = {q.face}
-    kind, info = surface.classify(q)
-    if kind == "edge":
-        f2, _ = surface.transport(*info, q.uv)
-        faces.add(f2)
-    elif kind == "vertex":
-        faces = {f for f, _ in surface.vertex_cycles[info]}
+    copies = _chart_copies(surface, q)
     best = math.inf
     gap = surface.chart_gap(p, q)
-    if p.face in faces and gap is not None:
+    if p.face in copies and gap is not None:
         best = gap
-    for f in faces:
-        if f == q.face:
-            uv_q = np.array(q.uv)
-        elif kind == "edge":
-            _, uv2 = surface.transport(*info, q.uv)
-            uv_q = np.array(uv2)
-        else:
-            c = [c for ff, c in surface.vertex_cycles[info] if ff == f][0]
-            uv_q = np.array(surface.corners[f][c])
-        uv = g.face_node_uv[f]
-        d = np.sqrt(((uv - uv_q) ** 2).sum(-1))
-        ids = g.face_nodes[f]
-        best = min(best, float((d + bdist[ids]).min()))
+    for f, uv_q in copies.items():
+        d = np.sqrt(((g.face_node_uv[f] - np.array(uv_q)) ** 2).sum(-1))
+        best = min(best, float((d + bdist[g.face_nodes[f]]).min()))
     return best
 
 
@@ -213,5 +198,4 @@ def oracle_distance_field(surface, p, level):
             node_face_uv.append((f, (float(uv[0]), float(uv[1]))))
             values.append(float(vals[kk]))
     values = np.array(values)
-    return OracleField(surface, level, node_face_uv, node_face_uv, values,
-                       g.mesh_edge)
+    return OracleField(surface, level, node_face_uv, values, g.mesh_edge)

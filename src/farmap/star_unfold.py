@@ -12,9 +12,9 @@ interior angle equals the full cone angle.
 
 Index 1 is anchored at the cut to the smallest cone-point id, so the
 indexing is constant on each region of the cut-locus decomposition.
-`StarPolygon` holds the images and the predicates on the polygon; a
-region builds one from its fitted isometries, with no geodesic search
-(`cutlocus.Region.star_polygon`).
+`StarPolygon` holds the images and the star-path test, on top of the
+polygon predicates of `geom.Polygon`; a region builds one from its fitted
+isometries, with no geodesic search (`cutlocus.Region.star_polygon`).
 """
 
 import math
@@ -24,7 +24,7 @@ import numpy as np
 from scipy.spatial import QhullError, Voronoi
 
 from .errors import CutDegeneracy, OutsidePolygon, VoronoiDegeneracy
-from .geom import Iso, polygon_signed_area
+from .geom import Iso, Polygon, polygon_signed_area
 from .geodesics import DirectionAtlas, paths_to_cone_points, trace_ray
 from .surface import TWO_PI
 
@@ -37,14 +37,11 @@ class Cut:
     unwrapped: float  # monotone angle in [a_0, a_0 + theta_source]
 
 
-class StarPolygon:
+class StarPolygon(Polygon):
     """The star polygon of a source, given by its source images
     phi_1..phi_K and cone images C_1..C_K (cut n runs from phi_n to C_n),
-    with the predicates on it that good triples and fold-back need.
-
-    The predicates read a table of the polygon edges built once here; each
-    repeats the float operations of its `geom` counterpart in the same
-    order, so its decisions are those of the `geom` helpers.
+    with the star-path test that good triples and fold-back need. It reads
+    the edge table of `Polygon`.
     """
 
     def __init__(self, surface, source_images, cone_images):
@@ -58,18 +55,7 @@ class StarPolygon:
         for cone, phi in zip(cone_images, source_images):
             poly.append(cone)
             poly.append(phi)
-        self.polygon = poly[::-1]
-        # edge k: both endpoints verbatim (rebuilding one as start + vector
-        # would round), the edge vector, its length and its squared length
-        edges = []
-        n = len(self.polygon)
-        for k in range(n):
-            cx, cy = self.polygon[k]
-            dx, dy = self.polygon[(k + 1) % n]
-            sx, sy = dx - cx, dy - cy
-            edges.append((cx, cy, dx, dy, sx, sy, math.hypot(sx, sy),
-                          sx * sx + sy * sy))
-        self._edges = edges
+        super().__init__(poly[::-1])
 
     def voronoi(self):
         """Voronoi diagram of the source images (scipy.spatial.Voronoi).
@@ -84,40 +70,6 @@ class StarPolygon:
             raise VoronoiDegeneracy(
                 f"qhull failed on {self.n_images} source images: "
                 f"{str(exc).splitlines()[0]}") from exc
-
-    # -- geometric predicates ----------------------------------------------
-
-    def _inside(self, x, y):
-        """geom.point_in_polygon: edge k enters as the pair (vertex k+1,
-        vertex k)."""
-        inside = False
-        for xj, yj, xi, yi, _, _, _, _ in self._edges:
-            if (yi > y) != (yj > y):
-                if x < xi + (y - yi) / (yj - yi) * (xj - xi):
-                    inside = not inside
-        return inside
-
-    def boundary_distance(self, p):
-        """geom.dist_point_polygon_boundary."""
-        px, py = p
-        best = math.inf
-        for cx, cy, _, _, sx, sy, _, n2 in self._edges:
-            if n2 == 0.0:
-                g = math.hypot(px - cx, py - cy)
-            else:
-                t = ((px - cx) * sx + (py - cy) * sy) / n2
-                t = 0.0 if t < 0.0 else (1.0 if t > 1.0 else t)
-                g = math.hypot(px - cx - t * sx, py - cy - t * sy)
-            if g < best:
-                best = g
-        return best
-
-    def contains(self, a, clearance=0.0):
-        if not self._inside(a[0], a[1]):
-            return False
-        if clearance > 0.0:
-            return self.boundary_distance(a) > clearance
-        return True
 
     def is_star_path(self, a, b, eps=None):
         """Open segment (a, b) stays strictly inside the polygon.
@@ -192,7 +144,7 @@ class StarUnfolding(StarPolygon):
                     f"{cuts[i + 1].vid} share a direction")
         self.cuts = cuts
         super().__init__(surface, *self._develop(surface))
-        self.signed_area = polygon_signed_area(self.polygon)
+        self.signed_area = polygon_signed_area(self.vertices)
 
     # the star-path test is looked up in this class's own namespace by the
     # benchmark's layer tracer (perfbench/tracing.py)

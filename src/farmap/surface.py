@@ -168,10 +168,9 @@ class ConeSurface:
         b1 = ((y2 - y0) * (p.u - x2) + (x0 - x2) * (p.v - y2)) / d
         return (b0, b1, 1.0 - b0 - b1)
 
-    def contains(self, p, eps_rel=1e-9):
-        b = self.bary(p)
-        eps = eps_rel
-        return all(-eps <= x <= 1.0 + eps for x in b)
+    def contains(self, p):
+        """p lies in its face triangle, within 1e-9 in barycentric terms."""
+        return all(-1e-9 <= x <= 1.0 + 1e-9 for x in self.bary(p))
 
     def classify(self, p, eps=None):
         """('vertex', vid) | ('edge', (face, edge)) | ('interior', None)."""
@@ -280,14 +279,14 @@ class ConeSurface:
         """Distance of a curve sample from its equation's zero set."""
         return 1e-6 * self.diameter
 
-    def validate(self, eps_metric=1e-7):
+    def validate(self):
         """Run the construction invariants; raises on failure."""
         for cp in self.cone_points:
             if not (0.0 < cp.deficit < TWO_PI):
                 raise GluingMismatch(
                     f"cone point {cp.vid} has deficit {cp.deficit:.3g}")
         total = sum(cp.deficit for cp in self.cone_points)
-        if abs(total - 4.0 * math.pi) > eps_metric:
+        if abs(total - 4.0 * math.pi) > 1e-7:
             raise GluingMismatch(
                 f"Gauss-Bonnet violated: sum deficits = {total!r}")
         if self.n_cone_points % 2 != 0:
@@ -295,7 +294,7 @@ class ConeSurface:
         if self.antipodal_face is not None:
             for cp in self.cone_points:
                 other = self.cone_points[self.vid_to_cone[cp.antipode]]
-                if abs(cp.deficit - other.deficit) > eps_metric:
+                if abs(cp.deficit - other.deficit) > 1e-7:
                     raise InvolutionNotIsometric(
                         "antipodal cone points have unequal deficits")
             for f in range(self.n_faces):
@@ -349,7 +348,7 @@ def _chart_from_3d(p0, p1, p2):
     return ((0.0, 0.0), (float(ln), 0.0), (float(w @ u), float(w @ v)))
 
 
-def build_from_vertices(vertices, eps_rel=1e-9):
+def build_from_vertices(vertices):
     """Build the intrinsic surface of the convex hull of a centrally
     symmetric vertex set.
 
@@ -365,7 +364,7 @@ def build_from_vertices(vertices, eps_rel=1e-9):
     if len(pts) < 4:
         raise DegenerateHull("need at least 4 points in R^3")
     scale = float(np.abs(pts).max())
-    eps = eps_rel * scale * 100.0
+    eps = 1e-9 * scale * 100.0
 
     # validate central symmetry of the input set
     pair = [None] * len(pts)
@@ -578,7 +577,7 @@ def _glue_from_shared_vertices(corners, vids):
 
 # -- building from an abstract net (schema B) -----------------------------
 
-def build_from_gluing(spec, eps_rel=1e-9):
+def build_from_gluing(spec):
     """Build a surface from planar triangles plus explicit gluings and an
     explicit antipodal pairing.
 
@@ -595,7 +594,7 @@ def build_from_gluing(spec, eps_rel=1e-9):
     nf = len(corners)
     scale = max(math.dist(tri[i], tri[(i + 1) % 3])
                 for tri in corners for i in range(3))
-    eps = eps_rel * scale * 100.0
+    eps = 1e-9 * scale * 100.0
 
     for tri in corners:
         area = ((tri[1][0] - tri[0][0]) * (tri[2][1] - tri[0][1])

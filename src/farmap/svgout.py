@@ -78,7 +78,7 @@ class SvgCanvas:
 def star_polygon_svg(unfolding):
     """Star polygon with labeled source and cone-point images."""
     c = SvgCanvas(stroke_scale=0.004 * unfolding.surface.diameter)
-    c.polyline(list(unfolding.polygon), color="#000000", width=1.2,
+    c.polyline(list(unfolding.vertices), color="#000000", width=1.2,
                closed=True)
     for n, p in enumerate(unfolding.source_images):
         c.dot(p, r=2.0, color="#d62728")
@@ -103,11 +103,10 @@ def develop_net(surface):
     return placed
 
 
-def net_svg(surface, dec=None, curves=None, net=None):
+def net_svg(surface, dec=None, curves=None):
     """Overlay on the unfolded net: cut loci colored per cone point and
     the classified curves in red/blue/green."""
-    if net is None:
-        net = develop_net(surface)
+    net = develop_net(surface)
     c = SvgCanvas(stroke_scale=0.004 * surface.diameter)
     for f in range(surface.n_faces):
         tri = [net[f].apply(p) for p in surface.corners[f]]
@@ -134,27 +133,21 @@ def _curve_to_net(surface, region, polyline, net):
     cur = []
     cur_cell = None
     for xy in polyline:
-        hit = None
-        for idx, (face, poly, w) in enumerate(region.cells):
-            uv = w.inverse().apply(xy)
-            from .cutlocus import _in_poly_tol
-            if _in_poly_tol(uv, poly, 1e-7):
-                hit = (idx, face, uv)
-                break
+        hit = region.planar_cell(xy, 1e-7)
         if hit is None:
             if len(cur) >= 2:
                 segs.append(cur)
             cur = []
             cur_cell = None
             continue
-        idx, face, uv = hit
-        pt = net[face].apply(uv)
-        if cur_cell is not None and idx != cur_cell:
+        cell, uv = hit
+        pt = net[cell.face].apply(uv)
+        if cur_cell is not None and cell is not cur_cell:
             if len(cur) >= 2:
                 segs.append(cur)
             cur = []
         cur.append(pt)
-        cur_cell = idx
+        cur_cell = cell
     if len(cur) >= 2:
         segs.append(cur)
     return segs

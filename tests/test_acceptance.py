@@ -135,8 +135,8 @@ def test_acceptance_3_star_unfolding_embedding(surfaces):
             # 4N-gon generically, 2(2N-1)-gon for a cone-point source
             # (here n = 2N is the cone point count)
             want = 2 * n if kind != "vertex" else 2 * (n - 1)
-            assert len(u.polygon) == want
-            assert polygon_is_simple(u.polygon, 1e-9 * s.chart_scale)
+            assert len(u.vertices) == want
+            assert polygon_is_simple(u.vertices, 1e-9 * s.chart_scale)
             k = u.n_images
             for m in range(k):
                 assert abs(math.dist(u.source_images[m], u.cone_images[m])
@@ -259,7 +259,7 @@ def test_acceptance_9b_antiprism_census(surfaces):
     for name in ("antiprism-0.9", "antiprism-reg", "antiprism-1.9"):
         s = surfaces[name]
         dec = build_regions(s)
-        shapes = {len(r.polygon) for r in dec.regions}
+        shapes = {len(r.polygon.vertices) for r in dec.regions}
         for tree in dec.trees:
             if not tree.is_tree():
                 trees_ok = False

@@ -157,6 +157,36 @@ def test_curves_output_digest_is_pinned(tmp_path):
         "0374c1e148bdceaa003a93696393dff3957f0a7ee212d40af691a657be4a9282")
 
 
+def test_orbit_output_digests_are_pinned(tmp_path):
+    """The three orbit files on the cube, pinned byte for byte."""
+    rc = main(["orbit", "--preset", "cube", "--orbits", "4", "--seed", "0",
+               "--out", str(tmp_path)])
+    assert rc == 0
+    want = {
+        "orbits.csv": "846f9f8b4c2f37919ddc31795fbbbb9a"
+                      "c1733c7fefa1570d8bad35464da54cb4",
+        "orbit_certificates.json": "d7f4c906ce8d58f184f9f9d8b9ac1b99"
+                                   "f9b944cf121f856fbcdd0df630adc36f",
+        "orbit_log.csv": "6680c31c3016c0118ba8ac71bd4bef83"
+                         "20d5b4f8f933618850db6fdebd6126c3",
+    }
+    for name, digest in want.items():
+        assert hashlib.sha256(
+            (tmp_path / name).read_bytes()).hexdigest() == digest, name
+
+
+def test_farthest_point_outside_its_face_is_an_error(tmp_path, capsys):
+    """On this cube start the limit's farthest points folded back outside
+    their face, and the orbit was certified with residual 4; now
+    evaluate_f refuses such a point."""
+    rc = main(["orbit", "--preset", "cube", "--orbits", "2",
+               "--seed", "2946223120", "--out", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "certification error: farthest point" in err
+    assert "lies outside its face" in err
+
+
 def test_run_config_tolerances_come_from_the_surface(tmp_path):
     s = presets.make("perturbed-octahedron:seed=1")
     cfg = RunConfig(surface=s, out=str(tmp_path))

@@ -20,6 +20,7 @@ from farmap.dynamics import iterate
 from farmap.errors import FitDegenerate, NoSolution
 from farmap.farthest import evaluate_f
 from farmap.geom import circumcenter
+from farmap.surface import build_from_gluing
 
 
 @pytest.fixture(scope="module")
@@ -64,9 +65,18 @@ def _all_floats(values):
     return all(type(v) is float for v in values)
 
 
-def test_region_fits_and_rational_maps_hold_python_floats(octa_regions):
-    """Curve tracing evaluates the fitted coefficients at every sample;
-    numpy scalars there would give the same values several times slower."""
+def test_region_fits_and_rational_maps_hold_python_floats(octa,
+                                                         octa_regions):
+    """Curve tracing evaluates the fitted coefficients at every sample, and
+    every antipode carries the antipodal charts into the unfolding; numpy
+    scalars there would give the same values several times slower."""
+    net = build_from_gluing(octa.to_net_spec())
+    for s in (octa, net):
+        assert _all_floats(v for iso in s.antipodal_iso
+                           for v in (iso.a, iso.b, iso.c, iso.d, iso.tx,
+                                     iso.ty))
+        p = s.antipode(s.random_point(np.random.default_rng(0)))
+        assert _all_floats(p.uv)
     region = octa_regions.regions[0]
     assert _all_floats(v for iso in region.isometries
                        for v in (iso.a, iso.b, iso.c, iso.d, iso.tx, iso.ty))

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from farmap import presets
-from farmap.cutlocus import (_cell_transform, build_regions, cut_locus,
-                             region_isometries)
+from farmap.cutlocus import build_regions, cut_locus
 from farmap.errors import ArrangementDegeneracy
 from farmap.geom import polygon_signed_area
 from farmap.geodesics import minimizers
@@ -42,7 +41,7 @@ def test_octahedron_regions_are_faces(octa_regions, octa):
     dec = octa_regions
     assert len(dec.regions) == 8
     for r in dec.regions:
-        assert len(r.polygon) == 3
+        assert len(r.polygon.vertices) == 3
         assert r.area == pytest.approx(octa.area / 8, abs=1e-9)
         assert abs(r.convex_defect) < 1e-9
     total = sum(r.area for r in dec.regions)
@@ -55,7 +54,7 @@ def test_antiprism_region_census():
         s = presets.antiprism(h)
         s.diameter
         dec = build_regions(s)
-        census = {len(r.polygon) for r in dec.regions}
+        census = {len(r.polygon.vertices) for r in dec.regions}
         assert census == expect
         assert sum(r.area for r in dec.regions) == pytest.approx(
             s.area, abs=1e-8)
@@ -103,7 +102,7 @@ def test_isometries_are_reversing_and_exact(octa_regions, octa, fresh_rng):
                 sp = cand
         u = unfold(octa, octa.antipode(sp))
         img, t_chart = u.dev_point(sp)
-        w = next(wz for fc, poly, wz in region.cells if fc == sp.face)
+        w = region.cell_of(sp).chart
         anchor = w.compose(t_chart.inverse())
         x = w.apply(sp.uv)
         assert [c.vid for c in u.cuts] == region.cone_order
@@ -160,14 +159,14 @@ def test_region_star_polygon_is_the_anchored_unfolding(name, request):
     tol = 1e-11 * s.diameter
     checked = 0
     for region in dec.regions:
-        cen = np.mean(region.polygon, axis=0)
-        for v in region.polygon:
+        cen = np.mean(region.polygon.vertices, axis=0)
+        for v in region.polygon.vertices:
             xy = tuple(float(c) for c in cen + 0.45 * (np.array(v) - cen))
             sp = region.chart_inverse(xy)
             u = unfold(s, s.antipode(sp))
             assert [c.vid for c in u.cuts] == region.cone_order
             _, t_chart = u.dev_point(sp)
-            anchor = _cell_transform(region, sp).compose(t_chart.inverse())
+            anchor = region.cell_of(sp).chart.compose(t_chart.inverse())
             poly = region.star_polygon(s, xy)
             assert poly.n_images == u.n_images
             for n in range(u.n_images):
@@ -178,7 +177,7 @@ def test_region_star_polygon_is_the_anchored_unfolding(name, request):
                 assert abs(math.dist(poly.source_images[n],
                                      poly.cone_images[n])
                            - u.cuts[n].length) < tol
-            assert polygon_signed_area(poly.polygon) == pytest.approx(
+            assert polygon_signed_area(poly.vertices) == pytest.approx(
                 u.signed_area, abs=tol)
             assert u.signed_area > 0
             checked += 1

@@ -266,7 +266,7 @@ def test_result_unfolding_rebuilds_identically(perturbed, fresh_rng):
         u = unfold(perturbed, res.source)
         rebuilt = res.unfolding
         assert rebuilt is not u
-        assert rebuilt.polygon == u.polygon
+        assert rebuilt.vertices == u.vertices
         assert rebuilt.source_images == u.source_images
         assert rebuilt.cone_images == u.cone_images
         assert rebuilt.cuts == u.cuts

@@ -5,9 +5,7 @@ import pytest
 
 from farmap.errors import OutsidePolygon
 from farmap.geodesics import distance
-from farmap.geom import (dist_point_polygon_boundary, dist_point_seg,
-                         point_in_polygon, polygon_is_simple,
-                         seg_seg_proper_cross)
+from farmap.geom import dist_point_seg, polygon_is_simple, seg_seg_proper_cross
 from farmap.surface import SurfacePoint
 from farmap.star_unfold import unfold
 
@@ -15,8 +13,8 @@ from farmap.star_unfold import unfold
 def test_octahedron_generic_source_12gon(octa, fresh_rng):
     p = octa.random_point(fresh_rng(0))
     u = unfold(octa, p)
-    assert len(u.polygon) == 12
-    assert polygon_is_simple(u.polygon, 1e-9 * octa.chart_scale)
+    assert len(u.vertices) == 12
+    assert polygon_is_simple(u.vertices, 1e-9 * octa.chart_scale)
     assert u.closure_error < 1e-10
     assert u.signed_area == pytest.approx(octa.area, abs=1e-9)
 
@@ -25,8 +23,8 @@ def test_cube_face_center_16gon(cube):
     f = 0
     c = np.mean(cube.corners[f], axis=0)
     u = unfold(cube, SurfacePoint(f, c[0], c[1]))
-    assert len(u.polygon) == 16
-    assert polygon_is_simple(u.polygon, 1e-9 * cube.chart_scale)
+    assert len(u.vertices) == 16
+    assert polygon_is_simple(u.vertices, 1e-9 * cube.chart_scale)
 
 
 def test_cone_point_source_polygon(octa, perturbed):
@@ -34,8 +32,8 @@ def test_cone_point_source_polygon(octa, perturbed):
         n = s.n_cone_points
         for vid in range(n):
             u = unfold(s, s.vertex_point(vid))
-            assert len(u.polygon) == 2 * (n - 1)
-            assert polygon_is_simple(u.polygon, 1e-9 * s.chart_scale)
+            assert len(u.vertices) == 2 * (n - 1)
+            assert polygon_is_simple(u.vertices, 1e-9 * s.chart_scale)
             assert u.closure_error < 1e-10
 
 
@@ -119,7 +117,7 @@ def test_fold_back_rejects_boundary(octa, fresh_rng):
 
 def test_is_star_path_degenerate_and_crossing(octa, fresh_rng):
     u = unfold(octa, octa.random_point(fresh_rng(6)))
-    inner = np.mean(u.polygon, axis=0)
+    inner = np.mean(u.vertices, axis=0)
     ctr = tuple(inner)
     if u.contains(ctr):
         assert u.is_star_path(ctr, ctr)
@@ -145,20 +143,47 @@ def test_fold_segment_is_isometric(octa, fresh_rng):
         assert total == pytest.approx(math.dist(a, b), rel=1e-6)
 
 
+def _point_in_polygon(p, poly):
+    """Even-odd rule, the reference loop of the edge-table predicates."""
+    x, y = p
+    inside = False
+    n = len(poly)
+    j = n - 1
+    for i in range(n):
+        xi, yi = poly[i]
+        xj, yj = poly[j]
+        if (yi > y) != (yj > y):
+            xcross = xi + (y - yi) / (yj - yi) * (xj - xi)
+            if x < xcross:
+                inside = not inside
+        j = i
+    return inside
+
+
+def _dist_point_polygon_boundary(p, poly):
+    n = len(poly)
+    return min(dist_point_seg(p, poly[i], poly[(i + 1) % n])
+               for i in range(n))
+
+
 def _ref_contains(poly, a, clearance=0.0):
-    if not point_in_polygon(a, poly):
+    if clearance < 0.0:
+        # the region-cell test: inside, or within -clearance of the boundary
+        return (_point_in_polygon(a, poly)
+                or _dist_point_polygon_boundary(a, poly) < -clearance)
+    if not _point_in_polygon(a, poly):
         return False
     if clearance > 0.0:
-        return dist_point_polygon_boundary(a, poly) > clearance
+        return _dist_point_polygon_boundary(a, poly) > clearance
     return True
 
 
 def _ref_is_star_path(poly, a, b, eps):
-    """The star-path test written with the geom helpers."""
+    """The star-path test written with the reference loops."""
     if math.dist(a, b) < eps:
         return _ref_contains(poly, a)
     mid = ((a[0] + b[0]) / 2, (a[1] + b[1]) / 2)
-    if not point_in_polygon(mid, poly):
+    if not _point_in_polygon(mid, poly):
         return False
     n = len(poly)
     if any(seg_seg_proper_cross(a, b, poly[i], poly[(i + 1) % n], eps)
@@ -177,7 +202,7 @@ def _test_segments(u, s, rng, eps):
     vertex (an endpoint on the boundary), boundary chords, segments of
     length under eps, and lines through a vertex shifted sideways by
     multiples of eps (grazing the vertex, or just missing it)."""
-    poly = u.polygon
+    poly = u.vertices
     lo = np.min(poly, axis=0) - 0.1 * s.chart_scale
     hi = np.max(poly, axis=0) + 0.1 * s.chart_scale
 
@@ -204,18 +229,41 @@ def _test_segments(u, s, rng, eps):
                    (v[0] + off[0] - lb * d[0], v[1] + off[1] - lb * d[1]))
 
 
+def _polygon_probes(poly, rng, scale):
+    """Vertices; points on every edge and just off it, on both sides,
+    inside and beyond the region-cell tolerances 1e-9 and 1e-7; points
+    level with each vertex; random points around the polygon."""
+    n = len(poly)
+    for k, v in enumerate(poly):
+        yield v
+        yield (v[0] - 0.3 * scale, v[1])
+        yield (v[0] + 0.3 * scale, v[1])
+        w = poly[(k + 1) % n]
+        ex, ey = w[0] - v[0], w[1] - v[1]
+        le = math.hypot(ex, ey)
+        for s in (0.5, rng.uniform()):
+            m = (v[0] + s * ex, v[1] + s * ey)
+            for off in (0.0, 0.5e-9, 2e-9, 0.5e-7, 2e-7, -0.5e-7, -2e-7):
+                yield (m[0] - off * ey / le, m[1] + off * ex / le)
+    lo = np.min(poly, axis=0) - 0.1 * scale
+    hi = np.max(poly, axis=0) + 0.1 * scale
+    for _ in range(20):
+        yield tuple(float(c) for c in rng.uniform(lo, hi))
+
+
 def test_table_predicates_match_geom_reference(octa, cube, perturbed,
-                                               fresh_rng):
+                                               octa_regions,
+                                               perturbed_regions, fresh_rng):
     """is_star_path, contains and boundary_distance read a per-polygon
-    edge table; their decisions and distances equal the geom helpers'
-    bit for bit."""
+    edge table; their decisions and distances equal the reference loops'
+    bit for bit, on star polygons, region outlines and region cells."""
     r = fresh_rng(8)
     outcomes = set()
     for s in (octa, cube, perturbed):
         eps = 1e-9 * s.chart_scale
         for _ in range(3):
             u = unfold(s, s.random_point(r))
-            poly = u.polygon
+            poly = u.vertices
             for a, b in _test_segments(u, s, r, eps):
                 want = _ref_is_star_path(poly, a, b, eps)
                 assert u.is_star_path(a, b) == want
@@ -229,8 +277,25 @@ def test_table_predicates_match_geom_reference(octa, cube, perturbed,
                 for p in [a, b, ((a[0] + b[0]) / 2, (a[1] + b[1]) / 2)] + \
                         level:
                     assert u.boundary_distance(p) == \
-                        dist_point_polygon_boundary(p, poly)
+                        _dist_point_polygon_boundary(p, poly)
                     for clearance in (0.0, eps, 0.01 * s.chart_scale):
                         assert u.contains(p, clearance) == \
                             _ref_contains(poly, p, clearance)
     assert outcomes == {True, False}
+    banded = 0
+    for dec in (octa_regions, perturbed_regions):
+        scale = dec.surface.chart_scale
+        for region in dec.regions:
+            for polygon in [region.polygon] + [c.polygon
+                                               for c in region.cells]:
+                poly = polygon.vertices
+                for p in _polygon_probes(poly, r, scale):
+                    assert polygon.boundary_distance(p) == \
+                        _dist_point_polygon_boundary(p, poly)
+                    for clearance in (0.0, 1e-9 * scale, 0.01 * scale,
+                                      -1e-9, -1e-7):
+                        assert polygon.contains(p, clearance) == \
+                            _ref_contains(poly, p, clearance)
+                    banded += polygon.contains(p, -1e-7) and \
+                        not _point_in_polygon(p, poly)
+    assert banded > 0
