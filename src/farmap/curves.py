@@ -151,24 +151,6 @@ class ClassifiedCurve:
         return (max(vals), sum(vals) / len(vals))
 
 
-def _grid_mask(poly, x, y):
-    inside = np.zeros(x.shape, dtype=bool)
-    n = len(poly)
-    px = x.ravel()
-    py = y.ravel()
-    flags = np.zeros(px.shape, dtype=bool)
-    j = n - 1
-    for i in range(n):
-        xi, yi = poly[i]
-        xj, yj = poly[j]
-        cond = (yi > py) != (yj > py)
-        xcross = xi + (py - yi) / (yj - yi + 1e-300) * (xj - xi)
-        flags ^= cond & (px < xcross)
-        j = i
-    inside = flags.reshape(x.shape)
-    return inside
-
-
 _MS_EDGES = {
     1: [(3, 2)], 2: [(1, 2)], 3: [(3, 1)], 4: [(0, 1)],
     6: [(0, 2)], 7: [(3, 0)], 8: [(0, 3)],
@@ -449,7 +431,7 @@ def trace_curves(surface, region, resolution=512, *, eps_curve=None,
         xs = np.linspace(xs0 - pad, xs1 + pad, resolution)
         ys = np.linspace(ys0 - pad, ys1 + pad, resolution)
         gx, gy = np.meshgrid(xs, ys)
-        mask = _grid_mask(poly, gx, gy)
+        mask = region.polygon.inside_grid(gx, gy)
 
         out = []
         for eq in equations:

@@ -297,9 +297,11 @@ def _face_cells(tri, segments, tol):
 
 @dataclass
 class Cell:
-    """One arrangement cell of a region: its face, its outline in the face
-    chart, and the chart -> region-plane transform with its inverse."""
+    """One arrangement cell of a region: its face, its index among the
+    cells of that face, its outline in the face chart, and the chart ->
+    region-plane transform with its inverse."""
     face: int
+    index: int
     polygon: Polygon
     chart: Iso
     inverse: Iso = field(init=False)
@@ -407,7 +409,11 @@ class RegionDecomposition:
 
 
 def build_regions(surface):
-    """Cut the surface along all cut loci and develop each region."""
+    """Cut the surface along all cut loci and develop each region.
+
+    A region is a set of arrangement cells linked across face-edge
+    intervals that no cut locus covers. Regions are numbered by their
+    smallest (face, cell) member."""
     trees = [cut_locus(surface, cp.vid) for cp in surface.cone_points]
 
     scale = surface.chart_scale
@@ -446,21 +452,11 @@ def build_regions(surface):
         cells[f] = [Polygon(c) for c in
                     _face_cells(surface.corners[f], chords, tol)]
 
-    # glue cells across unblocked edge intervals
-    parent = {}
-
-    def find(x):
-        while parent.setdefault(x, x) != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x, y):
-        parent[find(y)] = find(x)
-
-    for f in range(surface.n_faces):
-        for c in range(len(cells[f])):
-            find((f, c))
+    # link cells across unblocked edge intervals: links[(f, c)] holds
+    # (e, c2) when cell c of face f meets cell c2 of the face glued across
+    # edge e on an interval of e that no tree covers
+    links = {(f, c): set() for f in range(surface.n_faces)
+             for c in range(len(cells[f]))}
     seen_pairs = set()
     for f in range(surface.n_faces):
         for e in range(3):
@@ -502,15 +498,16 @@ def build_regions(surface):
                 if c1 is None or c2 is None:
                     raise ArrangementDegeneracy(
                         f"no cell found along edge ({f},{e})")
-                union((f, c1), (f2, c2))
+                links[(f, c1)].add((e, c2))
+                links[(f2, c2)].add((e2, c1))
 
-    groups = {}
-    for f in range(surface.n_faces):
-        for c in range(len(cells[f])):
-            groups.setdefault(find((f, c)), []).append((f, c))
-
-    regions = [_develop_region(surface, cells, members, rid, tol)
-               for rid, (_, members) in enumerate(sorted(groups.items()))]
+    # each region starts at the smallest cell that no region holds yet
+    regions = []
+    charts = {}
+    for seed in sorted(links):
+        if seed not in charts:
+            regions.append(_develop_region(surface, cells, links, seed,
+                                           len(regions), charts, tol))
     return RegionDecomposition(surface, trees, regions)
 
 
@@ -569,82 +566,44 @@ def _cell_at(cells, p, tol):
     return best if best_d < 10 * tol else None
 
 
-def _develop_region(surface, cells, members, rid, tol):
-    members = sorted(members)
-    seed = members[0]
-    w_map = {seed: Iso.identity()}
-    queue = [seed]
-    member_set = set(members)
-    while queue:
-        f, c = queue.pop()
-        w = w_map[(f, c)]
-        for e in range(3):
-            f2, e2, t_into = surface.glue[(f, e)]
-            for c2 in range(len(cells[f2])):
-                if (f2, c2) not in member_set:
-                    continue
-                if not _cells_share_edge(surface, cells, f, c, e, f2, c2,
-                                         tol):
-                    continue
-                w2 = w.compose(t_into)
-                if (f2, c2) in w_map:
-                    prev = w_map[(f2, c2)]
-                    probe = cells[f2][c2].vertices[0]
-                    if math.dist(prev.apply(probe), w2.apply(probe)) > \
-                            100 * tol:
-                        raise ArrangementDegeneracy(
-                            f"region {rid} develops inconsistently")
-                else:
-                    w_map[(f2, c2)] = w2
-                    queue.append((f2, c2))
-    if len(w_map) != len(members):
-        raise ArrangementDegeneracy(
-            f"region {rid} cells are not edge-connected")
+def _develop_region(surface, cells, links, seed, rid, charts, tol):
+    """Develop the region of cell `seed` by a depth-first walk over the
+    cell links, crossing each cell's links in (edge, partner cell) order;
+    records each reached cell's chart -> region-plane transform in
+    `charts`."""
+    charts[seed] = Iso.identity()
+    members = [seed]
+    stack = [seed]
+    while stack:
+        f, c = stack.pop()
+        w = charts[(f, c)]
+        for e, c2 in sorted(links[(f, c)]):
+            f2, _, t_into = surface.glue[(f, e)]
+            w2 = w.compose(t_into)
+            if (f2, c2) in charts:
+                probe = cells[f2][c2].vertices[0]
+                if math.dist(charts[(f2, c2)].apply(probe),
+                             w2.apply(probe)) > 100 * tol:
+                    raise ArrangementDegeneracy(
+                        f"region {rid} develops inconsistently")
+            else:
+                charts[(f2, c2)] = w2
+                members.append((f2, c2))
+                stack.append((f2, c2))
 
     cell_list = []
     pts = []
     area = 0.0
-    for (f, c) in members:
+    for (f, c) in sorted(members):
         poly = cells[f][c]
-        w = w_map[(f, c)]
-        cell_list.append(Cell(f, poly, w))
+        w = charts[(f, c)]
+        cell_list.append(Cell(f, c, poly, w))
         area += abs(polygon_signed_area(poly.vertices))
         pts.extend(w.apply(v) for v in poly.vertices)
     hull = ConvexHull(np.array(pts))
-    boundary = [tuple(np.array(pts)[i]) for i in hull.vertices]
+    boundary = [pts[i] for i in hull.vertices]
     defect = hull.volume - area  # 2d hull "volume" is the area
     return Region(rid, cell_list, Polygon(boundary), area, defect)
-
-
-def _cells_share_edge(surface, cells, f, c, e, f2, c2, tol):
-    """True if cell (f, c) touches face edge e on an interval that the
-    partner cell (f2, c2) also covers from the other side."""
-    a = surface.corners[f][e]
-    b = surface.corners[f][(e + 1) % 3]
-    i1 = _cell_edge_interval(cells[f][c], a, b, tol)
-    if i1 is None:
-        return False
-    a2 = surface.corners[f2]
-    e2 = surface.glue[(f, e)][1]
-    p2 = surface.corners[f2][e2]
-    q2 = surface.corners[f2][(e2 + 1) % 3]
-    i2 = _cell_edge_interval(cells[f2][c2], p2, q2, tol)
-    if i2 is None:
-        return False
-    lo = max(i1[0], 1.0 - i2[1])
-    hi = min(i1[1], 1.0 - i2[0])
-    return hi - lo > 1e-7
-
-
-def _cell_edge_interval(poly, a, b, tol):
-    ts = []
-    for v in poly.vertices:
-        t = _edge_param(a, b, v, tol)
-        if t is not None:
-            ts.append(t)
-    if len(ts) < 2:
-        return None
-    return (min(ts), max(ts))
 
 
 # -- per-region isometries --------------------------------------------------

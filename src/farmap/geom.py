@@ -212,6 +212,16 @@ class Polygon:
                     inside = not inside
         return inside
 
+    def inside_grid(self, x, y):
+        """`_inside` at every point of the equal-shaped arrays x, y, with
+        the same float operations; a boolean array of their shape."""
+        inside = np.zeros(np.shape(x), dtype=bool)
+        for xj, yj, xi, yi, _, _, _, _ in self._edges:
+            if yi != yj:
+                inside ^= ((yi > y) != (yj > y)) & \
+                    (x < xi + (y - yi) / (yj - yi) * (xj - xi))
+        return inside
+
     def boundary_distance(self, p):
         """Distance from p to the boundary; each edge repeats the float
         operations of `dist_point_seg`."""

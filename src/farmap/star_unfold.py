@@ -233,7 +233,9 @@ class StarUnfolding(StarPolygon):
         """Developed image of q plus the q-chart -> polygon transform.
 
         q must avoid the cut tree; the unique shortest path from the source
-        carries the development."""
+        carries the development. For q on a face edge the path may end in
+        the partner face; the transform then crosses that edge first, so
+        it always reads coordinates in q's own face chart."""
         from .geodesics import minimizers
         if path is None:
             cands = minimizers(self.surface, self.source, q)
@@ -241,7 +243,11 @@ class StarUnfolding(StarPolygon):
         t_bar = self._lift_angle(path.init_t)
         lifted = t_bar - path.init_t > 1e-9
         n = self._wedge_of_unwrapped(t_bar)
-        t_chart = self._chart_to_polygon(n, lifted, path.final_transform)
+        final = path.final_transform
+        if path.final_face != q.face:
+            _, edge = self.surface.classify(q)
+            final = final.compose(self.surface.glue[edge][2].inverse())
+        t_chart = self._chart_to_polygon(n, lifted, final)
         img = path.target_img
         if lifted:
             img = Iso.rotation(self.theta_source).apply(img)

@@ -146,15 +146,22 @@ def test_orbit_command_and_determinism(tmp_path):
             assert b >= a - 1e-6
 
 
-def test_curves_output_digest_is_pinned(tmp_path):
-    """curves.json on the perturbed octahedron, pinned byte for byte: a
-    change to curve tracing that moves any float or decision shows here."""
-    rc = main(["curves", "--preset", "perturbed-octahedron:seed=1",
+@pytest.mark.parametrize("preset,want", [
+    ("perturbed-octahedron:seed=1",
+     "0374c1e148bdceaa003a93696393dff3957f0a7ee212d40af691a657be4a9282"),
+    ("antiprism:h=0.9",
+     "649449e43dc88ac4a6a2d21bfd1e4463937be5914dc5a85347c5138a0aaaeee9"),
+], ids=["perturbed-octahedron:seed=1", "antiprism:h=0.9"])
+def test_curves_output_digest_is_pinned(tmp_path, preset, want):
+    """curves.json, pinned byte for byte: a change to curve tracing that
+    moves any float or decision shows here. The antiprism has two-cell
+    regions, whose fit samples lie on a face edge, and regions numbered
+    by their smallest (face, cell) member."""
+    rc = main(["curves", "--preset", preset,
                "--res", "24", "--seed", "1", "--out", str(tmp_path)])
     assert rc == 0
     digest = hashlib.sha256((tmp_path / "curves.json").read_bytes())
-    assert digest.hexdigest() == (
-        "0374c1e148bdceaa003a93696393dff3957f0a7ee212d40af691a657be4a9282")
+    assert digest.hexdigest() == want
 
 
 def test_orbit_output_digests_are_pinned(tmp_path):

@@ -67,9 +67,10 @@ def _all_floats(values):
 
 def test_region_fits_and_rational_maps_hold_python_floats(octa,
                                                          octa_regions):
-    """Curve tracing evaluates the fitted coefficients at every sample, and
-    every antipode carries the antipodal charts into the unfolding; numpy
-    scalars there would give the same values several times slower."""
+    """Curve tracing evaluates the fitted coefficients at every sample and
+    tests the region outline at every probe, and every antipode carries
+    the antipodal charts into the unfolding; numpy scalars there would
+    give the same values several times slower."""
     net = build_from_gluing(octa.to_net_spec())
     for s in (octa, net):
         assert _all_floats(v for iso in s.antipodal_iso
@@ -78,6 +79,7 @@ def test_region_fits_and_rational_maps_hold_python_floats(octa,
         p = s.antipode(s.random_point(np.random.default_rng(0)))
         assert _all_floats(p.uv)
     region = octa_regions.regions[0]
+    assert _all_floats(v for xy in region.polygon.vertices for v in xy)
     assert _all_floats(v for iso in region.isometries
                        for v in (iso.a, iso.b, iso.c, iso.d, iso.tx, iso.ty))
     assert _all_floats(v for c in region.cone_constants for v in c)

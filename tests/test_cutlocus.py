@@ -62,6 +62,21 @@ def test_antiprism_region_census():
             assert tree.is_tree()
 
 
+def test_regions_are_numbered_by_smallest_member():
+    """Every (face, cell) lies in one region, each region lists its cells in
+    sorted order, and region ids increase with the smallest member; the
+    antiprism h = 0.9 has regions of several cells."""
+    dec = build_regions(presets.antiprism(0.9))
+    members = [[(c.face, c.index) for c in r.cells] for r in dec.regions]
+    assert max(map(len, members)) > 1
+    assert [r.rid for r in dec.regions] == list(range(len(members)))
+    assert all(m == sorted(m) for m in members)
+    smallest = [m[0] for m in members]
+    assert smallest == sorted(smallest)
+    flat = [cell for m in members for cell in m]
+    assert len(flat) == len(set(flat))
+
+
 def _phi_region_map(dec):
     """Region id permutation induced by the antipodal map."""
     out = {}

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from farmap import presets
 from farmap.errors import OutsidePolygon
 from farmap.geodesics import distance
 from farmap.geom import dist_point_seg, polygon_is_simple, seg_seg_proper_cross
@@ -66,12 +67,24 @@ def test_source_image_angles_sum_to_cone_total(octa, fresh_rng):
     assert total == pytest.approx(2 * math.pi, abs=1e-9)
 
 
+def _edge_points(s, rng):
+    """One random point inside every face edge, in that face's chart."""
+    for f in range(s.n_faces):
+        for e in range(3):
+            a, b = s.corners[f][e], s.corners[f][(e + 1) % 3]
+            t = float(rng.uniform(0.1, 0.9))
+            yield SurfacePoint(f, a[0] + t * (b[0] - a[0]),
+                               a[1] + t * (b[1] - a[1]))
+
+
 def test_fold_back_round_trip(octa, perturbed, fresh_rng):
+    """dev_point's transform reads q in q's own face chart, also for points
+    on a face edge, where the shortest path may end in the partner face."""
     r = fresh_rng(3)
-    for s in (octa, perturbed):
+    for s in (octa, perturbed, presets.antiprism(0.9)):
         u = unfold(s, s.random_point(r))
-        for _ in range(6):
-            q = s.random_point(r)
+        for q in [s.random_point(r) for _ in range(6)] + \
+                list(_edge_points(s, r)):
             dev, t_chart = u.dev_point(q)
             assert u.contains(dev)
             back = u.fold_back(dev)
@@ -254,9 +267,10 @@ def _polygon_probes(poly, rng, scale):
 def test_table_predicates_match_geom_reference(octa, cube, perturbed,
                                                octa_regions,
                                                perturbed_regions, fresh_rng):
-    """is_star_path, contains and boundary_distance read a per-polygon
-    edge table; their decisions and distances equal the reference loops'
-    bit for bit, on star polygons, region outlines and region cells."""
+    """is_star_path, contains, boundary_distance and inside_grid read a
+    per-polygon edge table; their decisions and distances equal the
+    reference loops' bit for bit, on star polygons, region outlines and
+    region cells."""
     r = fresh_rng(8)
     outcomes = set()
     for s in (octa, cube, perturbed):
@@ -289,7 +303,11 @@ def test_table_predicates_match_geom_reference(octa, cube, perturbed,
             for polygon in [region.polygon] + [c.polygon
                                                for c in region.cells]:
                 poly = polygon.vertices
-                for p in _polygon_probes(poly, r, scale):
+                probes = list(_polygon_probes(poly, r, scale))
+                x, y = np.array(probes).T.reshape(2, 1, -1)
+                assert polygon.inside_grid(x, y).tolist() == \
+                    [[_point_in_polygon(p, poly) for p in probes]]
+                for p in probes:
                     assert polygon.boundary_distance(p) == \
                         _dist_point_polygon_boundary(p, poly)
                     for clearance in (0.0, 1e-9 * scale, 0.01 * scale,
