@@ -101,16 +101,14 @@ def triple_conditions(u, triple, *, slack=None):
         return None
     if not u.contains(c, clearance=eps):
         return None
-    if not (u.is_star_path(c, imgs[i], eps)
-            and u.is_star_path(c, imgs[j], eps)
-            and u.is_star_path(c, imgs[k], eps)):
+    if not u.is_star_path(c, imgs[i], imgs[j], imgs[k], eps=eps):
         return None
     r = math.dist(c, imgs[i])
     for n in range(u.n_images):
         if n in (i, j, k):
             continue
         if math.dist(c, imgs[n]) < r - slack and \
-                u.is_star_path(c, imgs[n], eps):
+                u.is_star_path(c, imgs[n], eps=eps):
             return None
     return GoodTriple((i, j, k), c, r)
 

@@ -187,7 +187,12 @@ class Polygon:
 
     Edge k runs from vertex k to vertex k+1. Its row keeps both endpoints
     verbatim (rebuilding one as start + vector would round), the edge
-    vector, its length and its squared length.
+    vector, its length, its squared length and its bounding box
+    (x min, x max, y min, y max). A test with a margin reads the box first
+    and skips the distance arithmetic of an edge whose box lies more than
+    twice the margin away in x or in y: every point of that edge is then
+    farther than the margin, by far more than the rounding of the skipped
+    arithmetic, so the skip changes no decision.
     """
 
     def __init__(self, vertices):
@@ -198,15 +203,17 @@ class Polygon:
             cx, cy = vertices[k]
             dx, dy = vertices[(k + 1) % n]
             sx, sy = dx - cx, dy - cy
+            x0, x1 = (cx, dx) if cx < dx else (dx, cx)
+            y0, y1 = (cy, dy) if cy < dy else (dy, cy)
             edges.append((cx, cy, dx, dy, sx, sy, math.hypot(sx, sy),
-                          sx * sx + sy * sy))
+                          sx * sx + sy * sy, x0, x1, y0, y1))
         self._edges = edges
 
     def _inside(self, x, y):
         """Even-odd rule; points on the boundary are unreliable here. The
         crossing of edge k is measured from vertex k+1."""
         inside = False
-        for xj, yj, xi, yi, _, _, _, _ in self._edges:
+        for xj, yj, xi, yi, _, _, _, _, _, _, _, _ in self._edges:
             if (yi > y) != (yj > y):
                 if x < xi + (y - yi) / (yj - yi) * (xj - xi):
                     inside = not inside
@@ -216,7 +223,7 @@ class Polygon:
         """`_inside` at every point of the equal-shaped arrays x, y, with
         the same float operations; a boolean array of their shape."""
         inside = np.zeros(np.shape(x), dtype=bool)
-        for xj, yj, xi, yi, _, _, _, _ in self._edges:
+        for xj, yj, xi, yi, _, _, _, _, _, _, _, _ in self._edges:
             if yi != yj:
                 inside ^= ((yi > y) != (yj > y)) & \
                     (x < xi + (y - yi) / (yj - yi) * (xj - xi))
@@ -227,7 +234,7 @@ class Polygon:
         operations of `dist_point_seg`."""
         px, py = p
         best = math.inf
-        for cx, cy, _, _, sx, sy, _, n2 in self._edges:
+        for cx, cy, _, _, sx, sy, _, n2, _, _, _, _ in self._edges:
             if n2 == 0.0:
                 g = math.hypot(px - cx, py - cy)
             else:
@@ -241,15 +248,40 @@ class Polygon:
     def contains(self, a, clearance=0.0):
         """a is inside and farther than `clearance` from the boundary. A
         negative clearance also admits points outside but nearer to the
-        boundary than -clearance."""
-        if self._inside(a[0], a[1]):
-            return clearance <= 0.0 or self.boundary_distance(a) > clearance
-        return clearance < 0.0 and self.boundary_distance(a) < -clearance
+        boundary than -clearance.
+
+        One pass over the edge table takes the even-odd parity of a and,
+        on the edges whose box comes within 2|clearance| of a, the
+        distance of `boundary_distance`; the decision equals
+        `_inside` combined with `boundary_distance`."""
+        px, py = a
+        if clearance == 0.0:
+            return self._inside(px, py)
+        m = 2.0 * abs(clearance)
+        lx, hx, ly, hy = px - m, px + m, py - m, py + m
+        inside = False
+        for cx, cy, dx, dy, sx, sy, _, n2, x0, x1, y0, y1 in self._edges:
+            if y0 <= py < y1 and px < dx + (py - dy) / (cy - dy) * (cx - dx):
+                inside = not inside
+            if x0 > hx or x1 < lx or y0 > hy or y1 < ly:
+                continue
+            if n2 == 0.0:
+                g = math.hypot(px - cx, py - cy)
+            else:
+                t = ((px - cx) * sx + (py - cy) * sy) / n2
+                t = 0.0 if t < 0.0 else (1.0 if t > 1.0 else t)
+                g = math.hypot(px - cx - t * sx, py - cy - t * sy)
+            if clearance > 0.0:
+                if g <= clearance:
+                    return False
+            elif g < -clearance:
+                return True
+        return inside
 
     def clip_segment(self, a, b, tol):
         """Sub-segments of [a, b] inside the polygon, longer than tol."""
         cuts = [0.0, 1.0]
-        for cx, cy, dx, dy, _, _, _, _ in self._edges:
+        for cx, cy, dx, dy, _, _, _, _, _, _, _, _ in self._edges:
             hit = seg_seg_intersection(a, b, (cx, cy), (dx, dy))
             if hit is None:
                 continue

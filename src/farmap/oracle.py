@@ -47,12 +47,12 @@ class OracleField:
 
 
 class _SubdividedGraph:
-    """Boundary-node graph shared by all queries at one level."""
+    """Boundary-node graph and field lattice, shared by all queries at one
+    level."""
 
     def __init__(self, surface, level):
         self.level = level
         n_seg = 2 ** level
-        self.n_seg = n_seg
         node_id = {}
         coords = {}          # (face, node) -> uv  for faces that see it
         self.mesh_edge = 0.0
@@ -86,6 +86,26 @@ class _SubdividedGraph:
             f: np.array([coords[f][nid] for nid in self.face_nodes[f]])
             for f in coords}
         self.n_nodes = len(node_id)
+
+        # the lattice of `oracle_distance_field`, which no source changes:
+        # per face, the distances from its points to the face's boundary
+        # nodes, and the field's (face, uv) rows
+        self.lattice_dist = []
+        self.node_face_uv = []
+        for f in range(surface.n_faces):
+            cs = np.array(surface.corners[f])
+            lat = []
+            for i in range(n_seg + 1):
+                for j in range(n_seg + 1 - i):
+                    b0 = i / n_seg
+                    b1 = j / n_seg
+                    lat.append(b0 * cs[0] + b1 * cs[1]
+                               + (1 - b0 - b1) * cs[2])
+            lat = np.array(lat)
+            buv = self.face_node_uv[f]
+            self.lattice_dist.append(
+                np.sqrt(((lat[:, None, :] - buv[None, :, :]) ** 2).sum(-1)))
+            self.node_face_uv += [(f, (u, v)) for u, v in lat.tolist()]
 
         rows, cols, vals = [], [], []
         for f in range(surface.n_faces):
@@ -175,27 +195,6 @@ def oracle_distance_field(surface, p, level):
         raise ValueError("subdivision level must be >= 0")
     g = _graph(surface, level)
     bdist = g.distances_from(surface, p)
-
-    n_seg = g.n_seg
-    node_face_uv = []
-    values = []
-    for f in range(surface.n_faces):
-        cs = np.array(surface.corners[f])
-        ids = g.face_nodes[f]
-        buv = g.face_node_uv[f]
-        bd = bdist[ids]
-        lat = []
-        for i in range(n_seg + 1):
-            for j in range(n_seg + 1 - i):
-                b0 = i / n_seg
-                b1 = j / n_seg
-                lat.append(b0 * cs[0] + b1 * cs[1]
-                           + (1 - b0 - b1) * cs[2])
-        lat = np.array(lat)
-        d = np.sqrt(((lat[:, None, :] - buv[None, :, :]) ** 2).sum(-1))
-        vals = (d + bd[None, :]).min(axis=1)
-        for kk, uv in enumerate(lat):
-            node_face_uv.append((f, (float(uv[0]), float(uv[1]))))
-            values.append(float(vals[kk]))
-    values = np.array(values)
-    return OracleField(surface, level, node_face_uv, values, g.mesh_edge)
+    values = np.concatenate([(d + bdist[g.face_nodes[f]]).min(axis=1)
+                             for f, d in enumerate(g.lattice_dist)])
+    return OracleField(surface, level, g.node_face_uv, values, g.mesh_edge)

@@ -71,46 +71,62 @@ class StarPolygon(Polygon):
                 f"qhull failed on {self.n_images} source images: "
                 f"{str(exc).splitlines()[0]}") from exc
 
-    def is_star_path(self, a, b, eps=None):
-        """Open segment (a, b) stays strictly inside the polygon.
+    def is_star_path(self, a, *targets, eps=None):
+        """Every open segment (a, b), b in targets, stays strictly inside
+        the polygon; the targets are tested in order.
 
         Endpoints may lie on the boundary (e.g. at source images). Segments
-        grazing a polygon vertex within eps are rejected.
+        grazing a polygon vertex within eps are rejected. One pass over the
+        edge table per segment takes the midpoint's even-odd parity (the
+        float operations of `_inside`) and runs the crossing and graze
+        checks on the edges whose box meets the segment's box widened by
+        2 eps. Every point of another edge, its start vertex among them,
+        is more than 2 eps from the segment, so it neither grazes nor
+        crosses it; only for a near-collinear pair could the skipped
+        crossing test have reported rounding noise as a crossing.
         """
         if eps is None:
             eps = 1e-9 * self.surface.chart_scale
-        d = math.dist(a, b)
-        if d < eps:
-            return self.contains(a, clearance=0.0)
+        m = 2.0 * eps
         ax, ay = a
-        bx, by = b
-        if not self._inside((ax + bx) / 2, (ay + by) / 2):
-            return False
-        rx, ry = bx - ax, by - ay
-        lr = math.hypot(rx, ry)
-        n2 = rx * rx + ry * ry
-        for cx, cy, _, _, sx, sy, ls, _ in self._edges:
-            qx, qy = cx - ax, cy - ay
-            # geom.seg_seg_proper_cross(a, b, edge start, edge end, eps)
-            denom = rx * sy - ry * sx
-            if denom != 0.0 and lr != 0.0 and ls != 0.0:
-                t = (qx * sy - qy * sx) / denom
-                et = eps / lr
-                if et < t < 1.0 - et:
-                    u = (qx * ry - qy * rx) / denom
-                    eu = eps / ls
-                    if eu < u < 1.0 - eu:
-                        return False
-            # geom.dist_point_seg(edge start, a, b): a vertex within eps of
-            # the segment and not of its endpoints
-            if n2 == 0.0:
-                g = math.hypot(qx, qy)
-            else:
+        for bx, by in targets:
+            rx, ry = bx - ax, by - ay
+            lr = math.hypot(rx, ry)
+            if lr < eps:
+                if not self._inside(ax, ay):
+                    return False
+                continue
+            mx, my = (ax + bx) / 2, (ay + by) / 2
+            lx, hx = (ax - m, bx + m) if ax < bx else (bx - m, ax + m)
+            ly, hy = (ay - m, by + m) if ay < by else (by - m, ay + m)
+            n2 = rx * rx + ry * ry
+            et = eps / lr
+            inside = False
+            for cx, cy, dx, dy, sx, sy, ls, _, x0, x1, y0, y1 in self._edges:
+                if y0 <= my < y1 and \
+                        mx < dx + (my - dy) / (cy - dy) * (cx - dx):
+                    inside = not inside
+                if x0 > hx or x1 < lx or y0 > hy or y1 < ly:
+                    continue
+                qx, qy = cx - ax, cy - ay
+                # geom.seg_seg_proper_cross(a, b, edge start, edge end, eps)
+                denom = rx * sy - ry * sx
+                if denom != 0.0 and ls != 0.0:
+                    t = (qx * sy - qy * sx) / denom
+                    if et < t < 1.0 - et:
+                        u = (qx * ry - qy * rx) / denom
+                        eu = eps / ls
+                        if eu < u < 1.0 - eu:
+                            return False
+                # geom.dist_point_seg(edge start, a, b): a vertex within eps
+                # of the segment and not of its endpoints
                 t = (qx * rx + qy * ry) / n2
                 t = 0.0 if t < 0.0 else (1.0 if t > 1.0 else t)
-                g = math.hypot(qx - t * rx, qy - t * ry)
-            if g < eps and math.dist((cx, cy), a) >= eps and \
-                    math.dist((cx, cy), b) >= eps:
+                if math.hypot(qx - t * rx, qy - t * ry) < eps and \
+                        math.hypot(qx, qy) >= eps and \
+                        math.dist((cx, cy), (bx, by)) >= eps:
+                    return False
+            if not inside:
                 return False
         return True
 

@@ -13,9 +13,13 @@ from farmap.errors import VoronoiDegeneracy
 from farmap.farthest import (evaluate_f, good_triples, max_good_radius,
                              triple_conditions)
 from farmap.geodesics import distance, minimizers
+from farmap.geom import circumcenter
 from farmap.oracle import oracle_distance_field
 from farmap.star_unfold import StarUnfolding, unfold
-from farmap.surface import SurfacePoint, build_from_vertices
+from farmap.surface import SurfacePoint
+
+from test_star_unfold import (_random_symmetric_polytope, _ref_contains,
+                              _ref_is_star_path)
 
 
 def test_good_triple_bound(octa, cube, perturbed, fresh_rng):
@@ -190,13 +194,6 @@ def test_triple_conditions_slack(octa, fresh_rng):
         assert triple_conditions(u, g.indices, slack=1e-3) is not None
 
 
-def _random_symmetric_polytope(seed, half):
-    """K = 2*half cone points: normalized Gaussian directions, mirrored."""
-    v = np.random.default_rng(seed).normal(size=(half, 3))
-    v /= np.linalg.norm(v, axis=1)[:, None]
-    return build_from_vertices(np.vstack([v, -v]))
-
-
 def _brute_force_good_triples(u):
     """Reference: every one of the C(K, 3) image triples tested."""
     found = (triple_conditions(u, t)
@@ -209,6 +206,49 @@ def _assert_same_triples(u):
     want = [(g.indices, g.center, g.radius)
             for g in _brute_force_good_triples(u)]
     assert got == want
+
+
+def _ref_triple_conditions(u, triple):
+    """`triple_conditions` at its default tolerances, written with the
+    reference loops of test_star_unfold: (indices, center, radius), or
+    None."""
+    eps = 1e-9 * u.surface.chart_scale
+    slack = 1e-12 * u.surface.chart_scale
+    poly = u.vertices
+    imgs = u.source_images
+    c = circumcenter(*(imgs[n] for n in triple))
+    if c is None or not _ref_contains(poly, c, eps):
+        return None
+    if not all(_ref_is_star_path(poly, c, imgs[n], eps) for n in triple):
+        return None
+    r = math.dist(c, imgs[triple[0]])
+    for n in range(u.n_images):
+        if n not in triple and math.dist(c, imgs[n]) < r - slack and \
+                _ref_is_star_path(poly, c, imgs[n], eps):
+            return None
+    return triple, c, r
+
+
+def test_good_triples_match_reference_at_k20():
+    """good_triples equals the reference test of all C(20, 3) triples on
+    the benchmark's K = 20 inputs: the recipe polytopes of seeds 0-3 and,
+    of the eight points default_rng(0) draws on each, the first two,
+    unfolded from their antipodes as evaluate_f does."""
+    rng = np.random.default_rng(0)
+    checked = 0
+    for seed in range(4):
+        s = _random_symmetric_polytope(seed, 10)
+        points = [s.random_point(rng) for _ in range(8)]
+        for p in points[:2]:
+            u = unfold(s, s.antipode(p))
+            assert u.n_images == 20
+            want = [g for g in (_ref_triple_conditions(u, t) for t in
+                                combinations(range(u.n_images), 3))
+                    if g is not None]
+            got = [(g.indices, g.center, g.radius) for g in good_triples(u)]
+            assert got == want
+            checked += len(want)
+    assert checked > 0
 
 
 @given(seed=st.integers(0, 3), half=st.integers(3, 10),

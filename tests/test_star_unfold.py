@@ -7,8 +7,15 @@ from farmap import presets
 from farmap.errors import OutsidePolygon
 from farmap.geodesics import distance
 from farmap.geom import dist_point_seg, polygon_is_simple, seg_seg_proper_cross
-from farmap.surface import SurfacePoint
+from farmap.surface import SurfacePoint, build_from_vertices
 from farmap.star_unfold import unfold
+
+
+def _random_symmetric_polytope(seed, half):
+    """K = 2*half cone points: normalized Gaussian directions, mirrored."""
+    v = np.random.default_rng(seed).normal(size=(half, 3))
+    v /= np.linalg.norm(v, axis=1)[:, None]
+    return build_from_vertices(np.vstack([v, -v]))
 
 
 def test_octahedron_generic_source_12gon(octa, fresh_rng):
@@ -210,19 +217,17 @@ def _ref_is_star_path(poly, a, b, eps):
     return True
 
 
-def _test_segments(u, s, rng, eps):
-    """Random segments, segments from interior points to every polygon
-    vertex (an endpoint on the boundary), boundary chords, segments of
-    length under eps, and lines through a vertex shifted sideways by
+def _test_segments(poly, inner, rng, eps, scale):
+    """Random segments, segments from the interior points `inner` to every
+    polygon vertex (an endpoint on the boundary), boundary chords, segments
+    of length under eps, and lines through a vertex shifted sideways by
     multiples of eps (grazing the vertex, or just missing it)."""
-    poly = u.vertices
-    lo = np.min(poly, axis=0) - 0.1 * s.chart_scale
-    hi = np.max(poly, axis=0) + 0.1 * s.chart_scale
+    lo = np.min(poly, axis=0) - 0.1 * scale
+    hi = np.max(poly, axis=0) + 0.1 * scale
 
     def pt(xy):
         return (float(xy[0]), float(xy[1]))
 
-    inner = [u.dev_point(s.random_point(rng))[0] for _ in range(4)]
     for _ in range(40):
         yield pt(rng.uniform(lo, hi)), pt(rng.uniform(lo, hi))
     for a in inner:
@@ -237,9 +242,49 @@ def _test_segments(u, s, rng, eps):
         d = (math.cos(ang), math.sin(ang))
         for shift in (0.0, 0.5, 0.999, 1.001, 3.0):
             off = (-d[1] * shift * eps, d[0] * shift * eps)
-            la, lb = rng.uniform(0.01, 0.5, size=2) * s.chart_scale
+            la, lb = rng.uniform(0.01, 0.5, size=2) * scale
             yield ((v[0] + off[0] + la * d[0], v[1] + off[1] + la * d[1]),
                    (v[0] + off[0] - lb * d[0], v[1] + off[1] - lb * d[1]))
+
+
+def _box_miss_segments(poly, rng, eps, scale):
+    """Segments whose box misses the box of an edge by 0.5, 1.5, 2.5 or
+    4 eps, on both sides of the 2 eps skip margin of `is_star_path`. Past
+    each side of the edge's box, beyond the edge's extreme vertex v there:
+    a segment along that side, level with v, and one from beside v
+    outwards. The outward segment starts that far from the box, which
+    probes the skip margin of `contains` too."""
+    n = len(poly)
+    for k in range(n):
+        ends = (poly[k], poly[(k + 1) % n])
+        for axis in (0, 1):
+            for sign in (-1.0, 1.0):
+                v = max(ends, key=lambda p: sign * p[axis])
+                for mult in (0.5, 1.5, 2.5, 4.0):
+                    a = list(v)
+                    a[axis] += sign * mult * eps
+                    la, lb = (rng.uniform(0.01, 0.5, size=2) * scale).tolist()
+                    along_a, along_b = list(a), list(a)
+                    along_a[1 - axis] -= la
+                    along_b[1 - axis] += lb
+                    yield tuple(along_a), tuple(along_b)
+                    ang = rng.uniform(-1.4, 1.4)
+                    w = [0.0, 0.0]
+                    w[axis] = sign * math.cos(ang)
+                    w[1 - axis] = math.sin(ang)
+                    yield tuple(a), (a[0] + la * w[0], a[1] + la * w[1])
+
+
+def _inner_points(poly, rng, count=4):
+    """Random points inside the polygon by the reference even-odd rule."""
+    lo = np.min(poly, axis=0)
+    hi = np.max(poly, axis=0)
+    out = []
+    while len(out) < count:
+        p = tuple(float(c) for c in rng.uniform(lo, hi))
+        if _point_in_polygon(p, poly):
+            out.append(p)
+    return out
 
 
 def _polygon_probes(poly, rng, scale):
@@ -264,37 +309,76 @@ def _polygon_probes(poly, rng, scale):
         yield tuple(float(c) for c in rng.uniform(lo, hi))
 
 
+def _assert_star_predicates(u, inner, rng, level_probes):
+    """is_star_path and contains on `_test_segments` and
+    `_box_miss_segments` of the star polygon u, and boundary_distance and
+    contains at the test segments' ends and midpoints (with
+    `level_probes`, also at points level with the ends), equal the
+    reference loops'. Returns the set of reference star-path outcomes."""
+    scale = u.surface.chart_scale
+    eps = 1e-9 * scale
+    poly = u.vertices
+    outcomes = set()
+    for a, b in _test_segments(poly, inner, rng, eps, scale):
+        want = _ref_is_star_path(poly, a, b, eps)
+        assert u.is_star_path(a, b) == want
+        assert u.is_star_path(a, b, eps=10 * eps) == \
+            _ref_is_star_path(poly, a, b, 10 * eps)
+        outcomes.add(want)
+        probes = [a, b, ((a[0] + b[0]) / 2, (a[1] + b[1]) / 2)]
+        if level_probes:
+            # the horizontal through a vertex probes the parity rule at
+            # its rounding-sensitive crossings
+            probes += [(p[0] + dx * scale, p[1])
+                       for p in (a, b) for dx in (-0.3, 0.0, 0.3)]
+        for p in probes:
+            assert u.boundary_distance(p) == \
+                _dist_point_polygon_boundary(p, poly)
+            for clearance in (0.0, eps, 0.01 * scale):
+                assert u.contains(p, clearance) == \
+                    _ref_contains(poly, p, clearance)
+    for a, b in _box_miss_segments(poly, rng, eps, scale):
+        for e in (eps, 10 * eps):
+            assert u.is_star_path(a, b, eps=e) == \
+                _ref_is_star_path(poly, a, b, e)
+        for clearance in (eps, -eps):
+            assert u.contains(a, clearance) == \
+                _ref_contains(poly, a, clearance)
+    return outcomes
+
+
+def _dev_images(u, s, rng, count=4):
+    """Images in the unfolding u of random points of the surface s."""
+    return [u.dev_point(s.random_point(rng))[0] for _ in range(count)]
+
+
 def test_table_predicates_match_geom_reference(octa, cube, perturbed,
                                                octa_regions,
                                                perturbed_regions, fresh_rng):
     """is_star_path, contains, boundary_distance and inside_grid read a
     per-polygon edge table; their decisions and distances equal the
     reference loops' bit for bit, on star polygons, region outlines and
-    region cells."""
+    region cells. The star polygons are unfoldings of the presets and of
+    random symmetric polytopes with K = 10 and 20, where the box test
+    skips most edges, and the region star polygons of the octahedron."""
     r = fresh_rng(8)
     outcomes = set()
     for s in (octa, cube, perturbed):
-        eps = 1e-9 * s.chart_scale
         for _ in range(3):
             u = unfold(s, s.random_point(r))
-            poly = u.vertices
-            for a, b in _test_segments(u, s, r, eps):
-                want = _ref_is_star_path(poly, a, b, eps)
-                assert u.is_star_path(a, b) == want
-                assert u.is_star_path(a, b, 10 * eps) == \
-                    _ref_is_star_path(poly, a, b, 10 * eps)
-                outcomes.add(want)
-                # the horizontal through a vertex probes the parity rule at
-                # its rounding-sensitive crossings
-                level = [(p[0] + dx * s.chart_scale, p[1])
-                         for p in (a, b) for dx in (-0.3, 0.0, 0.3)]
-                for p in [a, b, ((a[0] + b[0]) / 2, (a[1] + b[1]) / 2)] + \
-                        level:
-                    assert u.boundary_distance(p) == \
-                        _dist_point_polygon_boundary(p, poly)
-                    for clearance in (0.0, eps, 0.01 * s.chart_scale):
-                        assert u.contains(p, clearance) == \
-                            _ref_contains(poly, p, clearance)
+            outcomes |= _assert_star_predicates(u, _dev_images(u, s, r), r,
+                                                True)
+    for half in (5, 10):
+        for seed in range(4):
+            s = _random_symmetric_polytope(seed, half)
+            u = unfold(s, s.random_point(r))
+            outcomes |= _assert_star_predicates(u, _dev_images(u, s, r), r,
+                                                False)
+    for region in octa_regions.regions:
+        (xy, _), = region.interior_samples(1)
+        u = region.star_polygon(octa, xy)
+        outcomes |= _assert_star_predicates(
+            u, _inner_points(u.vertices, r), r, False)
     assert outcomes == {True, False}
     banded = 0
     for dec in (octa_regions, perturbed_regions):
