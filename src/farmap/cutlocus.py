@@ -95,8 +95,9 @@ def cut_locus(surface, vid):
     raw = []
     for (i, j), rv in zip(vor.ridge_points, vor.ridge_vertices):
         v0, v1 = rv
+        ij = (int(i), int(j))
         if v0 >= 0 and v1 >= 0:
-            raw.append((tuple(vor.vertices[v0]), tuple(vor.vertices[v1])))
+            raw.append((tuple(vor.vertices[v0]), tuple(vor.vertices[v1]), ij))
             continue
         vf = vor.vertices[v1 if v0 < 0 else v0]
         mid = 0.5 * (sites[i] + sites[j])
@@ -106,19 +107,19 @@ def cut_locus(surface, vid):
         if (mid - center) @ normal < 0:
             normal = -normal
         far = mid + normal * span
-        raw.append((tuple(vf), tuple(far)))
+        raw.append((tuple(vf), tuple(far), ij))
 
     tol = 1e-9 * surface.chart_scale
     snap = 1e-6 * surface.chart_scale
     merge = 2e-5 * surface.chart_scale
     segs = []
-    for a, b in raw:
+    for a, b, ij in raw:
         for p0, p1 in u.clip_segment(a, b, tol):
             # boundary contacts live at cone images; snap them there
             p0 = _snap_to(p0, u.cone_images, snap)
             p1 = _snap_to(p1, u.cone_images, snap)
             if math.dist(p0, p1) > merge:
-                segs.append((p0, p1))
+                segs.append((p0, p1, ij))
 
     nodes = []
 
@@ -129,27 +130,27 @@ def cut_locus(surface, vid):
         nodes.append(p)
         return len(nodes) - 1
 
-    edges = []
-    seen = set()
-    for p0, p1 in segs:
+    # an edge keeps the two sites of its ridge, which see all of it, and a
+    # node the sites of an edge at it: fold_back goes through them
+    found = {}
+    node_sites = {}
+    for p0, p1, ij in segs:
         a, b = node_of(p0), node_of(p1)
-        if a == b:
-            continue
-        key = (min(a, b), max(a, b))
-        if key in seen:
-            continue
-        seen.add(key)
-        edges.append((a, b))
-
-    polylines = [u.fold_segment(nodes[a], nodes[b]) for a, b in edges]
+        if a != b:
+            found.setdefault((min(a, b), max(a, b)), ((a, b), ij))
+            node_sites.setdefault(a, ij)
+            node_sites.setdefault(b, ij)
+    edges = [e for e, _ in found.values()]
+    polylines = [u.fold_segment(nodes[a], nodes[b], ij)
+                 for (a, b), ij in found.values()]
     node_surface = []
-    for p in nodes:
-        hit = next((n for n, c in enumerate(u.cone_images)
+    for n, p in enumerate(nodes):
+        hit = next((m for m, c in enumerate(u.cone_images)
                     if math.dist(p, c) < snap), None)
         if hit is not None:
             node_surface.append(surface.vertex_point(u.cuts[hit].vid))
         else:
-            node_surface.append(u.fold_back(p))
+            node_surface.append(u.fold_back(p, node_sites[n])[0])
     return CutLocusTree(vid, u, nodes, node_surface, edges, polylines)
 
 

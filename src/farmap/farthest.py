@@ -198,7 +198,7 @@ def evaluate_f(surface, p, *, eps_tie=None, unfolding=None):
             if dup is None:
                 centers.append((g.center, g))
         for c, g in centers:
-            pt = surface.canonical(u.fold_back(c))
+            pt = surface.canonical(u.fold_back(c, g.indices)[0])
             if not surface.contains(pt):
                 raise OutsideFace(
                     f"farthest point {pt} lies outside its face")

@@ -708,12 +708,13 @@ def trace_ray(surface, atlas, t, length):
     dx, dy = vec
     remaining = length
     tol = 1e-12 * surface.chart_scale
-    entry = None
+    # not left through: the start sector's blocked edges, then entry edges
+    skip = atlas.sectors[idx][5]
     for _ in range(100000):
         best_t = math.inf
         best_e = None
         for e in range(3):
-            if e == entry:
+            if e in skip:
                 continue
             a = surface.corners[face][e]
             b = surface.corners[face][(e + 1) % 3]
@@ -741,5 +742,5 @@ def trace_ray(surface, atlas, t, length):
         n = math.hypot(dx, dy)
         dx, dy = dx / n, dy / n
         t_iso = t_iso.compose(t_into)
-        face, entry = f2, e2
+        face, skip = f2, (e2,)
     raise SearchBudgetExceeded("ray trace exceeded step budget")

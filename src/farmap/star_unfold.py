@@ -269,21 +269,16 @@ class StarUnfolding(StarPolygon):
             img = Iso.rotation(self.theta_source).apply(img)
         return self.wedges[n].apply(img), t_chart
 
-    def fold_back(self, a, *, with_transform=False):
-        """Surface point whose developed image is a (strictly inside)."""
+    def fold_back(self, a, images):
+        """Surface point whose developed image is a (strictly inside), and
+        its chart -> polygon transform. The caller names source `images`
+        that see a, along developed shortest paths (Aronov-O'Rourke): a
+        good triple's, or the two sites of a Voronoi ridge through a. The
+        nearest of them carries the fold, the lower index on a tie."""
         if not self.contains(a) or self.boundary_distance(
                 a) < 1e-12 * self.surface.chart_scale:
             raise OutsidePolygon(f"{a} is not strictly inside the polygon")
-        # the nearest source image that sees a, the lower index on a tie:
-        # images are tried in (distance, index) order, so the first star
-        # path is that one
-        ranked = sorted((math.dist(a, phi), i)
-                        for i, phi in enumerate(self.source_images))
-        for d, i in ranked:
-            if self.is_star_path(a, self.source_images[i]):
-                break
-        else:
-            raise OutsidePolygon(f"no source image sees {a}")
+        d, i = min((math.dist(a, self.source_images[i]), i) for i in images)
         v = self.wedges[i].inverse().apply(a)
         t_bar = math.atan2(v[1], v[0])
         lo = self.cuts[i].unwrapped
@@ -294,18 +289,16 @@ class StarUnfolding(StarPolygon):
         t_bar = min(max(t_bar, lo), hi)
         t_raw = t_bar % self.theta_source
         pt, t_iso = trace_ray(self.surface, self.atlas, t_raw, d)
-        if not with_transform:
-            return pt
         lifted = abs(t_bar - t_raw) > 1e-9
-        t_chart = self._chart_to_polygon(i, lifted, t_iso)
-        return pt, t_chart
+        return pt, self._chart_to_polygon(i, lifted, t_iso)
 
-    def fold_segment(self, a, b):
+    def fold_segment(self, a, b, images):
         """Surface polyline of the straight segment [a, b].
 
         The open segment must lie inside the polygon; endpoints may sit on
         the boundary only at cone images (where the folded curve ends at
-        the cone point). Returns [(face, uv0, uv1), ...] per face crossed.
+        the cone point); `images` see all of it, as `fold_back` takes
+        them. Returns [(face, uv0, uv1), ...] per face crossed.
         """
         seg_len = math.dist(a, b)
         if seg_len == 0.0:
@@ -316,7 +309,7 @@ class StarUnfolding(StarPolygon):
         for _ in range(200):
             probe = min(t + delta, 0.5 * (t + 1.0))
             pa = (a[0] + probe * (b[0] - a[0]), a[1] + probe * (b[1] - a[1]))
-            sp, t_chart = self.fold_back(pa, with_transform=True)
+            sp, t_chart = self.fold_back(pa, images)
             inv = t_chart.inverse()
             ca = inv.apply(a)
             cb = inv.apply(b)

@@ -7,6 +7,9 @@ import pytest
 
 from farmap import presets
 from farmap.cli import RunConfig, main
+from farmap.farthest import evaluate_f
+from farmap.geodesics import distance
+from farmap.surface import SurfacePoint
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -182,16 +185,23 @@ def test_orbit_output_digests_are_pinned(tmp_path):
             (tmp_path / name).read_bytes()).hexdigest() == digest, name
 
 
-def test_farthest_point_outside_its_face_is_an_error(tmp_path, capsys):
-    """On this cube start the limit's farthest points folded back outside
-    their face, and the orbit was certified with residual 4; now
-    evaluate_f refuses such a point."""
+def test_cube_source_next_to_an_edge_folds_into_its_faces(tmp_path, cube):
+    """On this cube start the source, the antipode of a limit, lies within
+    1e-9 x chart_scale of an edge of face 5, so rays from it start on that
+    edge. They may not leave through it: the orbits certify, and every
+    farthest point of each limit lies inside its face at the limit's
+    radius."""
     rc = main(["orbit", "--preset", "cube", "--orbits", "2",
                "--seed", "2946223120", "--out", str(tmp_path)])
-    assert rc == 2
-    err = capsys.readouterr().err
-    assert "certification error: farthest point" in err
-    assert "lies outside its face" in err
+    assert rc == 0
+    certs = json.loads((tmp_path / "orbit_certificates.json").read_text())
+    assert max(c["fixed_point_residual"] for c in certs) < cube.eps_fix
+    for c in certs:
+        res = evaluate_f(cube, SurfacePoint(*c["limit"]))
+        for fp in res.points:
+            assert cube.contains(fp.point)
+            assert distance(cube, res.source, fp.point) == pytest.approx(
+                res.radius, abs=cube.eps_tie)
 
 
 def test_run_config_tolerances_come_from_the_surface(tmp_path):

@@ -10,6 +10,9 @@ from farmap.geom import polygon_signed_area
 from farmap.geodesics import minimizers
 from farmap.star_unfold import unfold
 
+from test_star_unfold import (_random_symmetric_polytope, _ridge_sites,
+                              _surface_gap)
+
 TWO_PI = 2.0 * math.pi
 
 
@@ -27,6 +30,7 @@ def test_octahedron_tree_structure(octa):
         leaf_vids = {octa.classify(tree.node_surface[i])[1]
                      for i in tree.leaves()}
         assert leaf_vids == set(range(6)) - {vid, anti}
+        _assert_ridge_sites_fold_edges_once(tree)
 
 
 def test_tree_edge_points_have_two_minimizers(octa):
@@ -35,6 +39,44 @@ def test_tree_edge_points_have_two_minimizers(octa):
     for sp in tree.edge_points(per_edge=2):
         paths = minimizers(octa, src, sp)
         assert len(paths) >= 2
+
+
+def _assert_ridge_sites_fold_edges_once(tree):
+    """Both sites of the Voronoi ridge under a tree edge see its midpoint
+    along a developed shortest path, so folding back through either gives
+    the same surface point."""
+    s = tree.unfolding.surface
+    for i, j in tree.edges:
+        a, b = tree.nodes[i], tree.nodes[j]
+        mid = ((a[0] + b[0]) / 2, (a[1] + b[1]) / 2)
+        q0, q1 = (tree.unfolding.fold_back(mid, (n,))[0]
+                  for n in _ridge_sites(tree, i, j))
+        assert _surface_gap(s, q0, q1) < 1e-9 * s.diameter
+
+
+# (seed, half) of recipe polytopes with nearly flat cone points: a point on
+# a tree edge 1e-9 from such a cone image sees no source image by the
+# star-path test, whose graze width is wider than the point's clearance
+FLAT_CONE_RECIPES = [(14, 7), (0, 10), (2, 10), (3, 10), (7, 8)]
+
+
+@pytest.mark.parametrize("seed,half", FLAT_CONE_RECIPES)
+def test_recipe_polytope_cut_loci_are_trees(seed, half):
+    """Every cone point's cut locus is a tree with K - 2 leaves, the cone
+    points other than itself and its antipode."""
+    s = _random_symmetric_polytope(seed, half)
+    for vid in sorted(s.vertex_cycles):
+        tree = cut_locus(s, vid)
+        assert tree.is_tree()
+        assert len(tree.leaves()) == s.n_cone_points - 2
+        _assert_ridge_sites_fold_edges_once(tree)
+
+
+def test_recipe_polytope_regions_cover_the_surface():
+    s = _random_symmetric_polytope(14, 7)
+    dec = build_regions(s)
+    assert sum(r.area for r in dec.regions) == pytest.approx(
+        s.area, abs=1e-10 * s.area)
 
 
 def test_octahedron_regions_are_faces(octa_regions, octa):

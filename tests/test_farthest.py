@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from farmap import farthest, presets
-from farmap.errors import VoronoiDegeneracy
+from farmap.errors import OutsideFace, VoronoiDegeneracy
 from farmap.farthest import (evaluate_f, good_triples, max_good_radius,
                              triple_conditions)
 from farmap.geodesics import distance, minimizers
@@ -19,7 +19,7 @@ from farmap.star_unfold import StarUnfolding, unfold
 from farmap.surface import SurfacePoint
 
 from test_star_unfold import (_random_symmetric_polytope, _ref_contains,
-                              _ref_is_star_path)
+                              _ref_is_star_path, _surface_gap)
 
 
 def test_good_triple_bound(octa, cube, perturbed, fresh_rng):
@@ -50,13 +50,40 @@ def test_good_triple_conditions_enforced(octa, fresh_rng):
                     g.radius - 1e-9
 
 
-def test_good_triple_radius_matches_surface_distance(perturbed, fresh_rng):
+def test_good_triple_radius_matches_surface_distance(octa, perturbed,
+                                                     fresh_rng):
+    """Each image of a good triple sees its circumcenter along a developed
+    shortest path (Aronov-O'Rourke), so folding back through any one of
+    them gives the same surface point, at the triple's radius."""
     r = fresh_rng(2)
-    u = unfold(perturbed, perturbed.random_point(r))
-    for g in good_triples(u):
-        q = u.fold_back(g.center)
-        d = distance(perturbed, u.source, q)
-        assert d == pytest.approx(g.radius, abs=1e-9)
+    k20 = _random_symmetric_polytope(0, 10)
+    for s in (octa, perturbed, k20):
+        u = unfold(s, s.random_point(r))
+        gts = good_triples(u)
+        assert gts
+        for g in gts:
+            q = u.fold_back(g.center, g.indices)[0]
+            assert distance(s, u.source, q) == pytest.approx(g.radius,
+                                                             abs=1e-9)
+            for n in g.indices:
+                qn = u.fold_back(g.center, (n,))[0]
+                assert _surface_gap(s, q, qn) < 1e-9 * s.diameter
+
+
+def test_farthest_point_outside_its_face_is_an_error(octa, monkeypatch):
+    """A triple's farthest point that folds back outside its face raises
+    OutsideFace instead of entering an orbit."""
+    (x0, y0), (x1, y1), (x2, y2) = octa.corners[0]
+    # barycentric (1.2, 0.8, -1): beyond the edge of face 0 opposite
+    # corner 2, which canonical() leaves in face 0's chart
+    outside = SurfacePoint(0, 1.2 * x0 + 0.8 * x1 - x2,
+                           1.2 * y0 + 0.8 * y1 - y2)
+    assert not octa.contains(octa.canonical(outside))
+    monkeypatch.setattr(StarUnfolding, "fold_back",
+                        lambda u, a, images: (outside, None))
+    c = np.mean(octa.corners[0], axis=0)
+    with pytest.raises(OutsideFace, match="lies outside its face"):
+        evaluate_f(octa, SurfacePoint(0, c[0], c[1]))
 
 
 def test_evaluate_f_vs_oracle(octa, perturbed, fresh_rng):

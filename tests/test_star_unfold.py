@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from farmap import presets
+from farmap.cutlocus import cut_locus
 from farmap.errors import OutsidePolygon
 from farmap.geodesics import distance
 from farmap.geom import dist_point_seg, polygon_is_simple, seg_seg_proper_cross
@@ -84,6 +85,17 @@ def _edge_points(s, rng):
                                a[1] + t * (b[1] - a[1]))
 
 
+def _visible_images(u, a):
+    """Indices i with [a, phi_i] a star path, with their distances."""
+    return [(i, math.dist(a, phi)) for i, phi in enumerate(u.source_images)
+            if u.is_star_path(a, phi)]
+
+
+def _seeing(u, a):
+    """The indices of `_visible_images`: the images fold_back may take."""
+    return [i for i, _ in _visible_images(u, a)]
+
+
 def test_fold_back_round_trip(octa, perturbed, fresh_rng):
     """dev_point's transform reads q in q's own face chart, also for points
     on a face edge, where the shortest path may end in the partner face."""
@@ -94,15 +106,9 @@ def test_fold_back_round_trip(octa, perturbed, fresh_rng):
                 list(_edge_points(s, r)):
             dev, t_chart = u.dev_point(q)
             assert u.contains(dev)
-            back = u.fold_back(dev)
+            back = u.fold_back(dev, _seeing(u, dev))[0]
             assert s.chart_gap(q, back) < 1e-10
             assert math.dist(t_chart.apply(q.uv), dev) < 1e-10
-
-
-def _visible_images(u, a):
-    """Indices i with [a, phi_i] a star path, with their distances."""
-    return [(i, math.dist(a, phi)) for i, phi in enumerate(u.source_images)
-            if u.is_star_path(a, phi)]
 
 
 def _distance_from_source(u, a):
@@ -128,11 +134,12 @@ def test_fold_back_distance_consistency(octa, fresh_rng):
 
 def test_fold_back_rejects_boundary(octa, fresh_rng):
     u = unfold(octa, octa.random_point(fresh_rng(5)))
+    phi = u.source_images[0]
     with pytest.raises(OutsidePolygon):
-        u.fold_back(u.source_images[0])
+        u.fold_back(phi, _seeing(u, phi))
     far = (1e6, 1e6)
     with pytest.raises(OutsidePolygon):
-        u.fold_back(far)
+        u.fold_back(far, _seeing(u, far))
 
 
 def test_is_star_path_degenerate_and_crossing(octa, fresh_rng):
@@ -151,16 +158,48 @@ def test_is_star_path_degenerate_and_crossing(octa, fresh_rng):
 
 
 def test_fold_segment_is_isometric(octa, fresh_rng):
+    """Random star-path segments, folded through the images that see both
+    ends (the triangle with such an image lies in the polygon, so the
+    image sees the whole segment), and the cut-locus tree edges, folded
+    through their ridge sites as cut_locus does: the two images nearest
+    the edge's midpoint."""
     r = fresh_rng(7)
     u = unfold(octa, octa.random_point(r))
+    cases = []
     for _ in range(5):
         a = u.dev_point(octa.random_point(r))[0]
         b = u.dev_point(octa.random_point(r))[0]
         if not (u.is_star_path(a, b) and u.contains(a) and u.contains(b)):
             continue
-        pieces = u.fold_segment(a, b)
+        images = sorted(set(_seeing(u, a)) & set(_seeing(u, b)))
+        if images:
+            cases.append((u, a, b, images))
+    for s in (octa, _random_symmetric_polytope(0, 10)):
+        tree = cut_locus(s, min(s.vertex_cycles))
+        cases += [(tree.unfolding, tree.nodes[i], tree.nodes[j],
+                   _ridge_sites(tree, i, j)) for i, j in tree.edges]
+    assert len(cases) > 10
+    for u, a, b, images in cases:
+        pieces = u.fold_segment(a, b, images)
         total = sum(math.dist(p0, p1) for _, p0, p1 in pieces)
         assert total == pytest.approx(math.dist(a, b), rel=1e-6)
+
+
+def _ridge_sites(tree, i, j):
+    """The two source images nearest the midpoint of tree edge (i, j): the
+    sites of the Voronoi ridge the edge lies on."""
+    a, b = tree.nodes[i], tree.nodes[j]
+    mid = ((a[0] + b[0]) / 2, (a[1] + b[1]) / 2)
+    imgs = tree.unfolding.source_images
+    return sorted(range(len(imgs)), key=lambda n: math.dist(mid, imgs[n]))[:2]
+
+
+def _surface_gap(s, p, q):
+    """Chart distance of two nearby surface points, or their geodesic
+    distance when they lie in charts that share no edge."""
+    p, q = s.canonical(p), s.canonical(q)
+    gap = s.chart_gap(p, q)
+    return distance(s, p, q) if gap is None else gap
 
 
 def _point_in_polygon(p, poly):
