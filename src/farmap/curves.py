@@ -109,19 +109,38 @@ def build_rational_map(region, triple):
                        tuple(q3.tolist()))
 
 
-def _triple_distance(region, rmap, x, y):
-    """D_{ijk}: distance from I_i(x, y) to the circumcenter (floats or
-    arrays; inf where the circumcenter's denominator vanishes)."""
-    fx, fy = rmap.eval(x, y)
-    ax, ay = region.isometries[rmap.indices[0]].apply((x, y))
-    return np.hypot(ax - fx, ay - fy)
+def _term(r, x, y):
+    """|I(x, y) - Q(x, y)| for a distance-term row r: the isometry
+    (a, b, c, d, tx, ty) of I followed by the coefficients q1, q2, q3 of
+    Q = (q1/q3, q2/q3). Coefficients and coordinates are floats or arrays
+    (a (24, n) array holds one coefficient row per element); inf where q3
+    vanishes."""
+    den = _qeval(r[18:24], x, y)
+    n1, n2 = _qeval(r[6:12], x, y), _qeval(r[12:18], x, y)
+    try:
+        fx, fy = n1 / den, n2 / den
+    except ZeroDivisionError:
+        den = np.float64(den)
+        fx, fy = n1 / den, n2 / den
+    return np.hypot(r[0] * x + r[1] * y + r[4] - fx,
+                    r[2] * x + r[3] * y + r[5] - fy)
 
 
-def _cone_distance(region, n, x, y):
-    """|phi_n(x, y) - C_n(s)|: distance from the source to cone point n."""
-    ax, ay = region.isometries[n].apply((x, y))
+def _triple_row(region, rmap):
+    """Row of D_{ijk}, the distance from I_i(x, y) to the circumcenter."""
+    iso = region.isometries[rmap.indices[0]]
+    return (iso.a, iso.b, iso.c, iso.d, iso.tx, iso.ty) + rmap.q1 + \
+        rmap.q2 + rmap.q3
+
+
+def _cone_row(region, n):
+    """Row of |phi_n(x, y) - C_n(s)|, the distance from the source to cone
+    point n: Q is the constant map C_n."""
+    iso = region.isometries[n]
     cx, cy = region.cone_constants[n]
-    return np.hypot(ax - cx, ay - cy)
+    zero = (0.0,) * 5
+    return (iso.a, iso.b, iso.c, iso.d, iso.tx, iso.ty, cx) + zero + \
+        (cy,) + zero + (1.0,) + zero
 
 
 # -- curve extraction --------------------------------------------------------
@@ -151,157 +170,147 @@ class ClassifiedCurve:
         return (max(vals), sum(vals) / len(vals))
 
 
-_MS_EDGES = {
-    1: [(3, 2)], 2: [(1, 2)], 3: [(3, 1)], 4: [(0, 1)],
-    6: [(0, 2)], 7: [(3, 0)], 8: [(0, 3)],
-    9: [(0, 2)], 11: [(0, 1)], 12: [(1, 3)],
-    13: [(1, 2)], 14: [(2, 3)],
-}
-# cell edge ids: 0 = top (i,j)-(i,j+1), 1 = right, 2 = bottom, 3 = left
-# saddle codes 5 / 10 are resolved with the cell-center sign (asymptotic
-# decider) inside the scan
+# segment edge pairs of each cell code, whose bits 8, 4, 2, 1 mark the
+# positive corners (i,j), (i,j+1), (i+1,j+1), (i+1,j); cell edge ids:
+# 0 = top (i,j)-(i,j+1), 1 = right, 2 = bottom, 3 = left. The saddle rows 5
+# and 10 connect for a positive cell center (asymptotic decider); a saddle
+# whose center is not positive connects as the other saddle code does
+_MS_PAIRS = np.array([
+    [(-1, -1), (-1, -1)], [(3, 2), (-1, -1)], [(1, 2), (-1, -1)],
+    [(3, 1), (-1, -1)], [(0, 1), (-1, -1)], [(0, 1), (2, 3)],
+    [(0, 2), (-1, -1)], [(3, 0), (-1, -1)], [(0, 3), (-1, -1)],
+    [(0, 2), (-1, -1)], [(0, 3), (1, 2)], [(0, 1), (-1, -1)],
+    [(1, 3), (-1, -1)], [(1, 2), (-1, -1)], [(2, 3), (-1, -1)],
+    [(-1, -1), (-1, -1)]])
+# grid offset of the first corner of each cell edge; odd edges run down
+_MS_DI = np.array([0, 0, 1, 0])
+_MS_DJ = np.array([0, 1, 0, 0])
 
 
 def _marching_squares(vals, ok, xs, ys, center_fn):
     """Zero contours of vals over the grid; returns chained polylines of
-    (linear-interpolated point, bracket) pairs for lazy refinement.
+    (linear-interpolated point, bracket) pairs of Python floats for
+    refinement.
 
-    `center_fn` evaluates the field at saddle-cell centers to resolve the
-    connection ambiguity.
+    `center_fn` evaluates the field at the saddle-cell centers (arrays) to
+    resolve the connection ambiguity.
     """
-    sgn = np.where(vals > 0, 1, -1)
+    pos = vals > 0
     usable = ok & np.isfinite(vals)
-    # the scan reads Python copies, so crossing points and brackets are
-    # floats and every later scalar evaluation runs on floats
-    sgn_l, vals_l = sgn.tolist(), vals.tolist()
-    xs, ys = xs.tolist(), ys.tolist()
-    cross_pts = {}
-
-    def edge_point(i0, j0, i1, j1):
-        key = ((i0, j0), (i1, j1))
-        if key in cross_pts:
-            return cross_pts[key]
-        x0, y0, v0 = xs[j0], ys[i0], vals_l[i0][j0]
-        x1, y1, v1 = xs[j1], ys[i1], vals_l[i1][j1]
-        w = v0 / (v0 - v1)
-        p = ((x0 + w * (x1 - x0), y0 + w * (y1 - y0)),
-             (x0, y0, x1, y1, v0, v1))
-        cross_pts[key] = p
-        return p
-
-    # vectorized hunt for active cells: all four corners usable and not
-    # all of one sign
+    # active cells: all four corners usable and not all of one sign
     u00 = usable[:-1, :-1] & usable[:-1, 1:] & usable[1:, 1:] & \
         usable[1:, :-1]
-    s00, s01 = sgn[:-1, :-1], sgn[:-1, 1:]
-    s11, s10 = sgn[1:, 1:], sgn[1:, :-1]
-    mixed = ~((s00 == s01) & (s01 == s11) & (s11 == s10))
-    active = np.argwhere(u00 & mixed)
+    code = 8 * pos[:-1, :-1] + 4 * pos[:-1, 1:] + 2 * pos[1:, 1:] + \
+        pos[1:, :-1]
+    i, j = np.nonzero(u00 & (code % 15 != 0))
+    code = code[i, j]
+    sad = np.flatnonzero((code == 5) | (code == 10))
+    cval = center_fn(0.5 * (xs[j[sad]] + xs[j[sad] + 1]),
+                     0.5 * (ys[i[sad]] + ys[i[sad] + 1]))
+    code[sad[~(cval > 0)]] ^= 15
 
-    segments = []
-    for i, j in active.tolist():
-        corners = ((i, j), (i, j + 1), (i + 1, j + 1), (i + 1, j))
-        code = 0
-        for bit, (ci, cj) in enumerate(corners):
-            if sgn_l[ci][cj] > 0:
-                code |= 1 << (3 - bit)
-        if code in (0, 15):
-            continue
-        cell_edges = {
-            0: (corners[0], corners[1]),
-            1: (corners[1], corners[2]),
-            2: (corners[3], corners[2]),
-            3: (corners[0], corners[3]),
-        }
-        if code in (5, 10):
-            cx = 0.5 * (xs[j] + xs[j + 1])
-            cy = 0.5 * (ys[i] + ys[i + 1])
-            cval = center_fn(cx, cy)
-            if code == 5:
-                pairs = [(0, 1), (2, 3)] if cval > 0 else [(0, 3), (1, 2)]
-            else:
-                pairs = [(0, 3), (1, 2)] if cval > 0 else [(0, 1), (2, 3)]
-        else:
-            pairs = _MS_EDGES.get(code, ())
-        for e0, e1 in pairs:
-            pts = []
-            keys = []
-            for e in (e0, e1):
-                c0, c1 = cell_edges[e]
-                if sgn_l[c0[0]][c0[1]] == sgn_l[c1[0]][c1[1]]:
-                    break
-                pts.append(edge_point(*c0, *c1))
-                keys.append((min(c0, c1), max(c0, c1)))
-            if len(pts) == 2:
-                segments.append((keys[0], keys[1], pts[0], pts[1]))
-    return _chain_segments(segments)
+    pairs = _MS_PAIRS[code].reshape(-1, 2)
+    keep = pairs[:, 0] >= 0
+    cell = np.repeat(np.arange(len(code)), 2)[keep]
+    e = pairs[keep]
+    # each segment end's edge, from its first corner (i0, j0)
+    i0 = i[cell, None] + _MS_DI[e]
+    j0 = j[cell, None] + _MS_DJ[e]
+    down = e % 2
+    i1, j1 = i0 + down, j0 + 1 - down
+    x0, y0, x1, y1 = xs[j0], ys[i0], xs[j1], ys[i1]
+    v0, v1 = vals[i0, j0], vals[i1, j1]
+    w = v0 / (v0 - v1)
+    cols = (x0 + w * (x1 - x0), y0 + w * (y1 - y0), x0, y0, x1, y1, v0, v1)
+    px, py, *bracket = (c.ravel().tolist() for c in cols)
+    ends = list(zip(zip(px, py), zip(*bracket)))
+    keys = (2 * (i0 * vals.shape[1] + j0) + down).ravel().tolist()
+    return _chain_segments(list(zip(keys[0::2], keys[1::2], ends[0::2],
+                                    ends[1::2])))
 
 
 def _chain_segments(segments):
+    """Polylines of the segments (key0, key1, end0, end1) joined where they
+    share an end key; a key not shared by exactly two segments ends a
+    chain, so branches meeting at a common point stay separate curves."""
     adj = {}
-    for s, (k0, k1, p0, p1) in enumerate(segments):
-        adj.setdefault(k0, []).append((s, 0))
-        adj.setdefault(k1, []).append((s, 1))
+    for s, (k0, k1, _, _) in enumerate(segments):
+        adj.setdefault(k0, []).append(s)
+        adj.setdefault(k1, []).append(s)
     used = [False] * len(segments)
     chains = []
-    for s0 in range(len(segments)):
+    for s0, (k0, k1, p0, p1) in enumerate(segments):
         if used[s0]:
             continue
         used[s0] = True
-        k0, k1, p0, p1 = segments[s0]
-        chain = [p0, p1]
-        keys = [k0, k1]
-        # extend forward from k1, backward from k0; stop at junctions so
-        # branches meeting at a common point stay separate curves
-        for end in (1, 0):
-            key = keys[end]
-            while len(adj.get(key, ())) == 2:
-                nxt = next(((s, side) for s, side in adj[key]
-                            if not used[s]), None)
-                if nxt is None:
+        # extend forward from k1, then backward from k0
+        runs = []
+        for key in (k1, k0):
+            run, s = [], s0
+            while len(adj[key]) == 2:
+                a, b = adj[key]
+                s = b if a == s else a
+                if used[s]:
                     break
-                s, side = nxt
                 used[s] = True
                 ka, kb, pa, pb = segments[s]
-                new_key = kb if side == 0 else ka
-                new_pt = pb if side == 0 else pa
-                if end == 1:
-                    chain.append(new_pt)
-                else:
-                    chain.insert(0, new_pt)
-                key = new_key
-            keys[end] = key
-        chains.append(chain)
+                key, p = (kb, pb) if ka == key else (ka, pa)
+                run.append(p)
+            runs.append(run)
+        chains.append(runs[1][::-1] + [p0, p1] + runs[0])
     return chains
 
 
-def _bisect_refine(fn, x0, y0, x1, y1, v0, v1, tol):
-    a, fa = (x0, y0), v0
-    b, fb = (x1, y1), v1
-    if fa == 0:
-        return a
-    if fb == 0:
-        return b
+# pending chain points above which the crossings gathered so far are
+# refined and validated, which bounds the arrays of one refinement batch
+_PENDING = 4096
+
+
+def _bisect(coef, k, br, tol):
+    """Bisection of every bracket row (x0, y0, x1, y1, v0, v1) of br on the
+    field of equation k[n], whose two distance-term rows are coef[:, :, k[n]]
+    (coef of shape (2, 24, equations)).
+
+    Each element takes the steps of a scalar bisection of at most 44
+    halvings: it stops when the bracket is shorter than tol, and stops
+    without an update where the field is not finite. Returns the refined
+    points as lists of x and y floats."""
+    x0, y0, x1, y1, v0, v1 = br.T
+    ax, ay, fa = x0.copy(), y0.copy(), v0.copy()
+    bx, by = x1.copy(), y1.copy()
+    live = np.flatnonzero((v0 != 0) & (v1 != 0))
     for _ in range(44):
-        m = ((a[0] + b[0]) / 2, (a[1] + b[1]) / 2)
-        fm = fn(*m)
-        if not math.isfinite(fm):
+        if not live.size:
             break
-        if (fm > 0) == (fa > 0):
-            a, fa = m, fm
-        else:
-            b, fb = m, fm
-        if math.dist(a, b) < tol:
-            break
-    return ((a[0] + b[0]) / 2, (a[1] + b[1]) / 2)
+        kl = k[live]
+        mx = (ax[live] + bx[live]) / 2
+        my = (ay[live] + by[live]) / 2
+        fm = _term(coef[0][:, kl], mx, my) - _term(coef[1][:, kl], mx, my)
+        fin = np.isfinite(fm)
+        to_a = fin & ((fm > 0) == (fa[live] > 0))
+        to_b = fin & ~to_a
+        n = live[to_a]
+        ax[n], ay[n], fa[n] = mx[to_a], my[to_a], fm[to_a]
+        n = live[to_b]
+        bx[n], by[n] = mx[to_b], my[to_b]
+        live = live[fin & ~(np.hypot(ax[live] - bx[live],
+                                     ay[live] - by[live]) < tol)]
+    px, py = (ax + bx) / 2, (ay + by) / 2
+    # a zero end of the bracket is the crossing itself
+    px, py = np.where(v1 == 0, x1, px), np.where(v1 == 0, y1, py)
+    px, py = np.where(v0 == 0, x0, px), np.where(v0 == 0, y0, py)
+    return px.tolist(), py.tolist()
 
 
 @dataclass
 class _Equation:
     kind: str
     data: tuple
-    field_fn: object      # residual field, floats or arrays
-    value_fn: object      # equation value (for the validity d-check)
+    rows: tuple           # two distance-term rows; the field subtracts them
+
+    def field(self, x, y):
+        """Residual field, floats or arrays."""
+        return _term(self.rows[0], x, y) - _term(self.rows[1], x, y)
 
 
 def _region_equations(surface, region, pairs1, pairs2, pairs3):
@@ -309,40 +318,23 @@ def _region_equations(surface, region, pairs1, pairs2, pairs3):
     eqs = []
     needed = {t for ta, tb in pairs1 for t in (ta, tb)}
     needed |= {t for t, _ in pairs2}
-    mapped = set()
+    rows = {}
     for t in sorted(needed):
         try:
-            _cached_rmap(region, t)
+            rows[t] = _triple_row(region, _cached_rmap(region, t))
         except AllTranslations:
             continue
-        mapped.add(t)
 
     for ta, tb in sorted(pairs1):
-        if ta not in mapped or tb not in mapped:
-            continue
-        rma, rmb = _cached_rmap(region, ta), _cached_rmap(region, tb)
-        eqs.append(_Equation(
-            "type1", (ta, tb),
-            lambda x, y, rma=rma, rmb=rmb: (
-                _triple_distance(region, rma, x, y)
-                - _triple_distance(region, rmb, x, y)),
-            lambda x, y, rma=rma: _triple_distance(region, rma, x, y)))
+        if ta in rows and tb in rows:
+            eqs.append(_Equation("type1", (ta, tb), (rows[ta], rows[tb])))
     for ta, n in sorted(pairs2):
-        if ta not in mapped:
-            continue
-        rma = _cached_rmap(region, ta)
-        eqs.append(_Equation(
-            "type2", (ta, n),
-            lambda x, y, rma=rma, n=n: (
-                _triple_distance(region, rma, x, y)
-                - _cone_distance(region, n, x, y)),
-            lambda x, y, n=n: _cone_distance(region, n, x, y)))
+        if ta in rows:
+            eqs.append(_Equation("type2", (ta, n),
+                                 (rows[ta], _cone_row(region, n))))
     for m, n in sorted(pairs3):
-        eqs.append(_Equation(
-            "type3", (m, n),
-            lambda x, y, m=m, n=n: (_cone_distance(region, m, x, y)
-                                    - _cone_distance(region, n, x, y)),
-            lambda x, y, n=n: _cone_distance(region, n, x, y)))
+        eqs.append(_Equation("type3", (m, n),
+                             (_cone_row(region, m), _cone_row(region, n))))
     return eqs
 
 
@@ -433,22 +425,29 @@ def trace_curves(surface, region, resolution=512, *, eps_curve=None,
         gx, gy = np.meshgrid(xs, ys)
         mask = region.polygon.inside_grid(gx, gy)
 
+        cones = [_cone_row(region, n) for n in range(len(region.isometries))]
+
+        def classify(eq, xy):
+            return _classify_sample(surface, region, eq, xy, cones, eps_tie,
+                                    eps_curve, eps_fix)
+
         out = []
+        pending = []            # chain pieces awaiting refinement
         for eq in equations:
-            vals = eq.field_fn(gx, gy)
+            vals = eq.field(gx, gy)
             ok = mask & np.isfinite(vals)
             if not (np.any(vals[ok] > 0) and np.any(vals[ok] < 0)):
                 continue
-
-            chains = _marching_squares(vals, ok, xs, ys, eq.field_fn)
-            for chain in chains:
-                for piece in _split_at_corners(chain):
-                    if len(piece) < 2:
-                        continue
-                    out.extend(_validate_and_label(
-                        surface, region, eq, piece, eps_tie=eps_tie,
-                        eps_curve=eps_curve, eps_fix=eps_fix,
-                        spacing=diam / 120.0))
+            for chain in _marching_squares(vals, ok, xs, ys, eq.field):
+                pending.extend((eq, np.array([br for _, br in piece]))
+                               for piece in _split_at_corners(chain)
+                               if len(piece) >= 2)
+            if sum(len(br) for _, br in pending) > _PENDING:
+                out.extend(_validate_pieces(region, pending, classify,
+                                            eps_curve, diam / 120.0))
+                pending = []
+        out.extend(_validate_pieces(region, pending, classify, eps_curve,
+                                    diam / 120.0))
     cell = max(xs1 - xs0, ys1 - ys0) / resolution
     return dedup_curves(out, 3.0 * cell)
 
@@ -508,55 +507,67 @@ def _point_near_polyline(p, poly, tol):
                for i in range(len(poly) - 1))
 
 
-def _validate_and_label(surface, region, eq, chain, *, eps_tie, eps_curve,
-                        eps_fix, spacing):
-    refined = [None] * len(chain)
+def _validate_pieces(region, pieces, classify, tol, spacing):
+    """Curves of the chain pieces, (equation, (n, 6) array of the
+    brackets of the piece's points) pairs, in their order.
 
-    def pt(idx):
-        # refinement is lazy: most chains die at triage and never pay
-        if refined[idx] is None:
-            p_lin, bracket = chain[idx]
-            if bracket is None:
-                refined[idx] = p_lin
-            else:
-                refined[idx] = _bisect_refine(eq.field_fn, *bracket,
-                                              eps_curve)
-        return refined[idx]
-
-    # cheap triage: if a few spread probes are all invalid, drop the chain
-    probe_idx = sorted({len(chain) // 4, len(chain) // 2,
-                        (3 * len(chain)) // 4})
-    probe = {i: _classify_sample(surface, region, eq, pt(i),
-                                 eps_tie, eps_curve, eps_fix)
-             for i in probe_idx}
-    if not any(s.valid for s in probe.values()):
+    The crossings are refined in two batches: first the triage probes of
+    every piece, a few spread points, dropping each piece whose probes are
+    all invalid; then every point of the pieces that remain."""
+    if not pieces:
         return []
+    coef = np.array([eq.rows for eq, _ in pieces]).transpose(1, 2, 0)
 
-    samples = [None] * len(chain)
+    def refine(sel, brs):
+        # refined points of the bracket arrays brs of the pieces sel
+        k = np.repeat(sel, [len(br) for br in brs])
+        return iter(list(zip(*_bisect(coef, k, np.concatenate(brs), tol))))
+
+    probes = [sorted({len(br) // 4, len(br) // 2, (3 * len(br)) // 4})
+              for _, br in pieces]
+    xy = refine(range(len(pieces)),
+                [br[idx] for (_, br), idx in zip(pieces, probes)])
+    kept = {}
+    for p, ((eq, _), idx) in enumerate(zip(pieces, probes)):
+        probe = {i: classify(eq, next(xy)) for i in idx}
+        if any(s.valid for s in probe.values()):
+            kept[p] = probe
+    if not kept:
+        return []
+    xy = refine(list(kept), [pieces[p][1] for p in kept])
+    out = []
+    for p, probe in kept.items():
+        eq, br = pieces[p]
+        out.extend(_validate_and_label(region, eq, [next(xy) for _ in br],
+                                       probe, classify, spacing))
+    return out
+
+
+def _validate_and_label(region, eq, pts, probe, classify, spacing):
+    """Curves of one piece with refined points pts, whose samples at the
+    indices of probe are classified already."""
+    samples = [None] * len(pts)
     for i, s in probe.items():
         samples[i] = s
     last = None
-    validated = list(probe_idx)
-    for idx in range(len(chain)):
+    validated = list(probe)
+    for idx, xy in enumerate(pts):
         if samples[idx] is not None:
-            last = pt(idx)
+            last = xy
             continue
-        xy = pt(idx)
         if last is not None and math.dist(xy, last) < spacing and \
-                idx != len(chain) - 1:
+                idx != len(pts) - 1:
             continue
         last = xy
-        samples[idx] = _classify_sample(surface, region, eq, xy,
-                                        eps_tie, eps_curve, eps_fix)
+        samples[idx] = classify(eq, xy)
         validated.append(idx)
     validated.sort()
 
     # propagate each verdict to the nearest validated sample
     full = []
-    for idx in range(len(chain)):
+    for idx, xy in enumerate(pts):
         s = samples[_nearest_sorted(validated, idx)]
-        full.append(CurveSample(pt(idx), s.valid, s.label, s.residual,
-                                s.d_gap))
+        full.append(CurveSample(xy, s.valid, s.label, s.residual, s.d_gap))
 
     curves = []
     run = []
@@ -591,7 +602,8 @@ def _make_curve(region, eq, full, run):
     return ClassifiedCurve(region.rid, eq.kind, eq.data, pts, label, smp)
 
 
-def _classify_sample(surface, region, eq, xy, eps_tie, eps_curve, eps_fix):
+def _classify_sample(surface, region, eq, xy, cones, eps_tie, eps_curve,
+                     eps_fix):
     """Validity and label of one refined curve sample.
 
     The sample sits within the curve tolerance of the true locus, so the
@@ -601,16 +613,18 @@ def _classify_sample(surface, region, eq, xy, eps_tie, eps_curve, eps_fix):
     and the coinciding point is a limit point iff the map fixes it).
     Goodness and d(p) are decided on the star polygon that the region's
     isometries give at the sample, which `trace_curves` has checked
-    against the fit residual.
+    against the fit residual. `cones` holds the cone-distance rows of
+    every cone point.
     """
-    resid = abs(eq.field_fn(*xy))
-    val = eq.value_fn(*xy)
+    ta, tb = _term(eq.rows[0], *xy), _term(eq.rows[1], *xy)
+    resid = abs(ta - tb)
+    # the equation's value: D_a on type 1, the cone distance otherwise
+    val = ta if eq.kind == "type1" else tb
     tol_d = max(20 * eps_curve, 2 * eps_tie)
     # the cone distances are the cut lengths, whose maximum bounds d(p)
     # from below: an equation value under that bound can never satisfy the
     # d-consistency rule
-    d_lo = max(_cone_distance(region, n, *xy)
-               for n in range(len(region.isometries)))
+    d_lo = max(_term(r, *xy) for r in cones)
     if resid > 10 * eps_curve or val < d_lo - tol_d:
         return CurveSample(xy, False, NEITHER, resid, math.inf)
     try:

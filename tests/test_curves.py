@@ -12,10 +12,12 @@ from hypothesis import strategies as st
 
 from farmap import cutlocus
 from farmap.curves import (LIMIT, MULTI_VALUED, NEITHER, CurveSample,
-                           _make_curve, _marching_squares, _nearest_sorted,
-                           active_from_displacement, build_rational_map,
-                           check_rational_representation, hyperbola_form,
-                           limit_line_solve, trace_curves)
+                           _bisect, _cone_row, _Equation, _make_curve,
+                           _marching_squares, _nearest_sorted,
+                           _region_equations, active_from_displacement,
+                           build_rational_map, check_rational_representation,
+                           hyperbola_form, limit_line_solve, probe_equations,
+                           trace_curves)
 from farmap.dynamics import iterate
 from farmap.errors import FitDegenerate, NoSolution
 from farmap.farthest import evaluate_f
@@ -98,6 +100,254 @@ def test_marching_squares_brackets_hold_python_floats():
     for chain in chains:
         for p, bracket in chain:
             assert _all_floats(p) and _all_floats(bracket)
+
+
+# -- scalar references of the array passes ------------------------------------
+
+def _ref_bisect(fn, x0, y0, x1, y1, v0, v1, tol):
+    """One crossing refined by scalar bisection on the field fn."""
+    a, fa = (x0, y0), v0
+    b, fb = (x1, y1), v1
+    if fa == 0:
+        return a
+    if fb == 0:
+        return b
+    for _ in range(44):
+        m = ((a[0] + b[0]) / 2, (a[1] + b[1]) / 2)
+        fm = fn(*m)
+        if not math.isfinite(fm):
+            break
+        if (fm > 0) == (fa > 0):
+            a, fa = m, fm
+        else:
+            b, fb = m, fm
+        if math.dist(a, b) < tol:
+            break
+    return ((a[0] + b[0]) / 2, (a[1] + b[1]) / 2)
+
+
+def _assert_bisect_matches_ref(eqs, brackets, tol):
+    """_bisect on the brackets, bracket n on the field of eqs[n], gives
+    the scalar reference's floats exactly."""
+    coef = np.array([eq.rows for eq in eqs]).transpose(1, 2, 0)
+    with np.errstate(all="ignore"):
+        got = list(zip(*_bisect(coef, np.arange(len(eqs)),
+                                np.array(brackets, dtype=float), tol)))
+        want = [_ref_bisect(eq.field, *br, tol)
+                for eq, br in zip(eqs, brackets)]
+    assert all(_all_floats(p) for p in got)
+    assert [tuple(v.hex() for v in p) for p in got] == \
+        [tuple(float(v).hex() for v in p) for p in want]
+
+
+def _grid_field(region, eq, res):
+    poly = region.polygon.vertices
+    xs = np.linspace(min(p[0] for p in poly), max(p[0] for p in poly), res)
+    ys = np.linspace(min(p[1] for p in poly), max(p[1] for p in poly), res)
+    gx, gy = np.meshgrid(xs, ys)
+    vals = eq.field(gx, gy)
+    return vals, region.polygon.inside_grid(gx, gy) & np.isfinite(vals), \
+        xs, ys
+
+
+def test_bisect_matches_scalar_reference_on_octahedron_equations(
+        octa, octa_regions):
+    """Every bracket of the first type-1 and type-2 equations of region 0
+    whose fields change sign on the grid."""
+    region = octa_regions.regions[0]
+    with np.errstate(all="ignore"):
+        eqs = _region_equations(octa, region,
+                                *probe_equations(octa, region))
+    tol = octa.eps_curve
+    for kind in ("type1", "type2"):
+        for eq in (e for e in eqs if e.kind == kind):
+            with np.errstate(all="ignore"):
+                vals, ok, xs, ys = _grid_field(region, eq, 48)
+                chains = _marching_squares(vals, ok, xs, ys, eq.field)
+            brackets = [br for chain in chains for _, br in chain]
+            if brackets:
+                break
+        assert len(brackets) > 20, kind
+        _assert_bisect_matches_ref([eq] * len(brackets), brackets, tol)
+
+
+def test_bisect_matches_scalar_reference_on_synthetic_rows(
+        octa, octa_regions, fresh_rng):
+    """Cone-cone (type-3) rows on random brackets, brackets with a zero
+    end, and a pole of q3 that stops a bisection without an update, all
+    refined in one batch."""
+    region = octa_regions.regions[0]
+    rng = fresh_rng(5)
+    tol = octa.eps_curve
+    eqs, brackets = [], []
+    for m, n in combinations(range(len(region.isometries)), 2):
+        eq = _Equation("type3", (m, n),
+                       (_cone_row(region, m), _cone_row(region, n)))
+        for _ in range(5):
+            x0, y0 = (float(v) for v in rng.random(2))
+            x1, y1 = x0 + 0.05 * float(rng.random()), y0 - 0.03
+            eqs.append(eq)
+            brackets.append((x0, y0, x1, y1, float(eq.field(x0, y0)),
+                             float(eq.field(x1, y1))))
+    n_synthetic = len(eqs)
+    # zero ends: the reference returns that end as it is
+    for v0, v1 in ((0.0, 1.0), (-1.0, 0.0), (0.0, 0.0), (-0.0, 2.0)):
+        eqs.append(eqs[0])
+        brackets.append((0.1, 0.2, 0.3, 0.4, v0, v1))
+    # Q = (1/x, 0) next to the identity: the first midpoint, x = 0, is a
+    # pole of q3, where the field is not finite
+    ident = (1.0, 0.0, 0.0, 1.0, 0.0, 0.0)
+    pole = _Equation("type2", (None, 0),
+                     (ident + (1.0,) + (0.0,) * 5 + (0.0,) * 6
+                      + (0.0, 1.0) + (0.0,) * 4, _cone_row(region, 0)))
+    eqs.append(pole)
+    brackets.append((-0.5, 0.25, 0.5, 0.25, -1.0, 1.0))
+    assert n_synthetic >= 15
+    _assert_bisect_matches_ref(eqs, brackets, tol)
+    with np.errstate(all="ignore"):
+        assert not math.isfinite(pole.field(0.0, 0.25))
+        got = _bisect(np.array([pole.rows]).transpose(1, 2, 0),
+                      np.zeros(1, dtype=np.intp),
+                      np.array([brackets[-1]]), tol)
+    assert got == ([0.0], [0.25])
+
+
+_REF_MS_EDGES = {
+    1: [(3, 2)], 2: [(1, 2)], 3: [(3, 1)], 4: [(0, 1)],
+    6: [(0, 2)], 7: [(3, 0)], 8: [(0, 3)],
+    9: [(0, 2)], 11: [(0, 1)], 12: [(1, 3)],
+    13: [(1, 2)], 14: [(2, 3)],
+}
+
+
+def _ref_marching_squares(vals, ok, xs, ys, center_fn):
+    """Zero contours by a per-cell scan, chained as the reference
+    chaining does."""
+    sgn = np.where(vals > 0, 1, -1)
+    usable = ok & np.isfinite(vals)
+    sgn_l, vals_l = sgn.tolist(), vals.tolist()
+    xs, ys = xs.tolist(), ys.tolist()
+    cross_pts = {}
+
+    def edge_point(i0, j0, i1, j1):
+        key = ((i0, j0), (i1, j1))
+        if key in cross_pts:
+            return cross_pts[key]
+        x0, y0, v0 = xs[j0], ys[i0], vals_l[i0][j0]
+        x1, y1, v1 = xs[j1], ys[i1], vals_l[i1][j1]
+        w = v0 / (v0 - v1)
+        p = ((x0 + w * (x1 - x0), y0 + w * (y1 - y0)),
+             (x0, y0, x1, y1, v0, v1))
+        cross_pts[key] = p
+        return p
+
+    u00 = usable[:-1, :-1] & usable[:-1, 1:] & usable[1:, 1:] & \
+        usable[1:, :-1]
+    s00, s01 = sgn[:-1, :-1], sgn[:-1, 1:]
+    s11, s10 = sgn[1:, 1:], sgn[1:, :-1]
+    mixed = ~((s00 == s01) & (s01 == s11) & (s11 == s10))
+    segments = []
+    for i, j in np.argwhere(u00 & mixed).tolist():
+        corners = ((i, j), (i, j + 1), (i + 1, j + 1), (i + 1, j))
+        code = 0
+        for bit, (ci, cj) in enumerate(corners):
+            if sgn_l[ci][cj] > 0:
+                code |= 1 << (3 - bit)
+        cell_edges = {0: (corners[0], corners[1]),
+                      1: (corners[1], corners[2]),
+                      2: (corners[3], corners[2]),
+                      3: (corners[0], corners[3])}
+        if code in (5, 10):
+            cval = center_fn(0.5 * (xs[j] + xs[j + 1]),
+                             0.5 * (ys[i] + ys[i + 1]))
+            if code == 5:
+                pairs = [(0, 1), (2, 3)] if cval > 0 else [(0, 3), (1, 2)]
+            else:
+                pairs = [(0, 3), (1, 2)] if cval > 0 else [(0, 1), (2, 3)]
+        else:
+            pairs = _REF_MS_EDGES.get(code, ())
+        for e0, e1 in pairs:
+            pts, keys = [], []
+            for e in (e0, e1):
+                c0, c1 = cell_edges[e]
+                if sgn_l[c0[0]][c0[1]] == sgn_l[c1[0]][c1[1]]:
+                    break
+                pts.append(edge_point(*c0, *c1))
+                keys.append((min(c0, c1), max(c0, c1)))
+            if len(pts) == 2:
+                segments.append((keys[0], keys[1], pts[0], pts[1]))
+
+    adj = {}
+    for s, (k0, k1, p0, p1) in enumerate(segments):
+        adj.setdefault(k0, []).append((s, 0))
+        adj.setdefault(k1, []).append((s, 1))
+    used = [False] * len(segments)
+    chains = []
+    for s0 in range(len(segments)):
+        if used[s0]:
+            continue
+        used[s0] = True
+        k0, k1, p0, p1 = segments[s0]
+        chain = [p0, p1]
+        keys = [k0, k1]
+        for end in (1, 0):
+            key = keys[end]
+            while len(adj.get(key, ())) == 2:
+                nxt = next(((s, side) for s, side in adj[key]
+                            if not used[s]), None)
+                if nxt is None:
+                    break
+                s, side = nxt
+                used[s] = True
+                ka, kb, pa, pb = segments[s]
+                new_key = kb if side == 0 else ka
+                new_pt = pb if side == 0 else pa
+                if end == 1:
+                    chain.append(new_pt)
+                else:
+                    chain.insert(0, new_pt)
+                key = new_key
+        chains.append(chain)
+    return chains
+
+
+def test_marching_squares_matches_per_cell_reference(fresh_rng):
+    """Seeded random fields with masked and non-finite corners: the same
+    chains in the same order, with the same points and brackets, and
+    saddle cells of both codes under both center signs."""
+    rng = fresh_rng(6)
+
+    def center(x, y):
+        return np.sin(9.0 * x) * np.cos(7.0 * y)
+
+    saddles = set()
+    for shape in ((12, 17), (30, 30), (41, 23)):
+        xs = np.sort(rng.random(shape[1])) * 2.0
+        ys = np.sort(rng.random(shape[0])) * 3.0
+        for smooth in (False, True):
+            vals = rng.normal(size=shape)
+            if smooth:
+                gx, gy = np.meshgrid(xs, ys)
+                vals = np.sin(3.0 * gx + gy) * np.cos(2.0 * gy) + 0.3 * vals
+            vals[rng.random(shape) < 0.03] = np.inf
+            vals[rng.random(shape) < 0.03] = np.nan
+            ok = rng.random(shape) > 0.08
+            got = _marching_squares(vals, ok, xs, ys, center)
+            assert got == _ref_marching_squares(vals, ok, xs, ys, center)
+            for chain in got:
+                for p, bracket in chain:
+                    assert _all_floats(p) and _all_floats(bracket)
+            pos = vals > 0
+            usable = ok & np.isfinite(vals)
+            code = 8 * pos[:-1, :-1] + 4 * pos[:-1, 1:] + \
+                2 * pos[1:, 1:] + pos[1:, :-1]
+            live = usable[:-1, :-1] & usable[:-1, 1:] & usable[1:, 1:] & \
+                usable[1:, :-1]
+            for i, j in np.argwhere(live & ((code == 5) | (code == 10))):
+                c = center(0.5 * (xs[j] + xs[j + 1]),
+                           0.5 * (ys[i] + ys[i + 1]))
+                saddles.add((int(code[i, j]), bool(c > 0)))
+    assert saddles == {(5, True), (5, False), (10, True), (10, False)}
 
 
 def test_rational_map_zero_denominator_divides_like_arrays(octa_regions):
