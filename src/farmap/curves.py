@@ -431,6 +431,7 @@ def trace_curves(surface, region, resolution=512, *, eps_curve=None,
             return _classify_sample(surface, region, eq, xy, cones, eps_tie,
                                     eps_curve, eps_fix)
 
+        spacing = diam / 120.0
         out = []
         pending = []            # chain pieces awaiting refinement
         for eq in equations:
@@ -444,10 +445,10 @@ def trace_curves(surface, region, resolution=512, *, eps_curve=None,
                                if len(piece) >= 2)
             if sum(len(br) for _, br in pending) > _PENDING:
                 out.extend(_validate_pieces(region, pending, classify,
-                                            eps_curve, diam / 120.0))
+                                            eps_curve, spacing))
                 pending = []
         out.extend(_validate_pieces(region, pending, classify, eps_curve,
-                                    diam / 120.0))
+                                    spacing))
     cell = max(xs1 - xs0, ys1 - ys0) / resolution
     return dedup_curves(out, 3.0 * cell)
 
