@@ -156,7 +156,10 @@ def test_orbit_command_and_determinism(tmp_path):
      "649449e43dc88ac4a6a2d21bfd1e4463937be5914dc5a85347c5138a0aaaeee9"),
     ("cube",
      "fdf9f85958d2ad8dfc3c382ba57f006120a110d3bac7be228e236acb0c26e384"),
-], ids=["perturbed-octahedron:seed=1", "antiprism:h=0.9", "cube"])
+    ("regular-octahedron",
+     "e4030997d1ad4b712c41dddfe84ea6166879c85d3b94962e54e8674e0bb770b6"),
+], ids=["perturbed-octahedron:seed=1", "antiprism:h=0.9", "cube",
+        "regular-octahedron"])
 def test_curves_output_digest_is_pinned(tmp_path, preset, want):
     """curves.json, pinned byte for byte: a change to curve tracing that
     moves any float or decision shows here. The antiprism has two-cell
