@@ -139,13 +139,18 @@ class StarUnfolding(StarPolygon):
         self.theta_source = self.atlas.total
 
         tied = paths_to_cone_points(surface, source)
+        # paths within eps_tie of the shortest can pass on either side of a
+        # cone point next to the source, and cuts along the longer ones can
+        # cross: cut along the shortest, and let the atlas order decide only
+        # among paths that tie with it to rounding
+        tie = 1e-12 * surface.chart_scale
         cuts = []
         for vid, paths in tied.items():
             if not paths:
                 raise CutDegeneracy(f"no minimizer to cone point {vid}")
-            # every path is within eps_tie of the shortest: cut along the
-            # first in atlas order
-            pick = min(paths, key=lambda g: g.init_t)
+            shortest = min(g.length for g in paths)
+            pick = min((g for g in paths if g.length <= shortest + tie),
+                       key=lambda g: g.init_t)
             cuts.append(Cut(vid, pick.length, pick.init_t, 0.0))
         anchor_vid = min(c.vid for c in cuts)
         a0 = next(c.angle for c in cuts if c.vid == anchor_vid)

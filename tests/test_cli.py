@@ -178,12 +178,12 @@ def test_orbit_output_digests_are_pinned(tmp_path):
                "--out", str(tmp_path)])
     assert rc == 0
     want = {
-        "orbits.csv": "846f9f8b4c2f37919ddc31795fbbbb9a"
-                      "c1733c7fefa1570d8bad35464da54cb4",
-        "orbit_certificates.json": "d7f4c906ce8d58f184f9f9d8b9ac1b99"
-                                   "f9b944cf121f856fbcdd0df630adc36f",
-        "orbit_log.csv": "6680c31c3016c0118ba8ac71bd4bef83"
-                         "20d5b4f8f933618850db6fdebd6126c3",
+        "orbits.csv": "dea79fc80728527a4659306635d0ed3b"
+                      "6dae0727cc88e5946a2842f37819dfef",
+        "orbit_certificates.json": "64537692c61d435c29cebd8d7bebf15a"
+                                   "62214182dded1b279af5c2eca164c2ac",
+        "orbit_log.csv": "1fbe3fa3f5b9281085c709036f1e38ab"
+                         "d7fcce0e7946c164b0a0c53686acdd23",
     }
     for name, digest in want.items():
         assert hashlib.sha256(

@@ -5,6 +5,7 @@ from farmap.dynamics import (certify_limit, iterate, orbit_csv_rows,
 from farmap.errors import NotConverged
 from farmap.farthest import evaluate_f
 from farmap.geodesics import distance
+from farmap.surface import SurfacePoint
 
 
 def test_orbits_converge_with_monotone_radii(octa, fresh_rng):
@@ -94,3 +95,20 @@ def test_selection_is_deterministic(octa, fresh_rng):
     assert len(o1.points) == len(o2.points)
     for a, b in zip(o1.points, o2.points):
         assert a.key() == b.key()
+
+
+@pytest.mark.parametrize("surface,start", [
+    ("perturbed", SurfacePoint(1, 0.592642152783583, 0.71957447158697)),
+    ("perturbed2", SurfacePoint(6, 0.62495, 0.62704)),
+], ids=["perturbed-octahedron:seed=1", "perturbed-octahedron:seed=2"])
+def test_orbit_through_a_source_next_to_a_cone_point_converges(
+        request, surface, start):
+    """On these orbits a step's source lies within 3e-7 of a cone point.
+    Two other cone points each have two paths, one around either side of
+    it, whose lengths differ by less than eps_tie; the cut runs along the
+    shorter one, so the cuts do not cross and the unfolding closes."""
+    s = request.getfixturevalue(surface)
+    orb = iterate(s, start, max_steps=500)
+    assert orb.status == "converged"
+    cert = certify_limit(s, orb)
+    assert cert.fixed_point_residual < s.eps_fix
