@@ -32,33 +32,10 @@ FIT_TOL = 1e-9
 
 
 # -- rational circumcenter maps ---------------------------------------------
-
-@dataclass
-class RationalMap:
-    """Circumcenter of (I_i(x,y), I_j(x,y), I_k(x,y)) as (Q1/Q3, Q2/Q3)
-    with Q* bivariate polynomials of degree <= 2, their coefficients held
-    as tuples of floats."""
-    indices: tuple
-    q1: tuple
-    q2: tuple
-    q3: tuple
-
-    def degree_bound_ok(self):
-        return len(self.q1) == 6 and len(self.q2) == 6 and len(self.q3) == 6
-
-    def eval(self, x, y):
-        den = _qeval(self.q3, x, y)
-        n1, n2 = _qeval(self.q1, x, y), _qeval(self.q2, x, y)
-        try:
-            return (n1 / den, n2 / den)
-        except ZeroDivisionError:
-            # a float denominator of zero divides as arrays do: inf or nan
-            den = np.float64(den)
-            return (n1 / den, n2 / den)
-
-    def denominator(self, x, y):
-        return _qeval(self.q3, x, y)
-
+#
+# A distance-term row holds the isometry (a, b, c, d, tx, ty) of an image
+# I followed by the coefficients of three bivariate quadratics q1, q2, q3
+# (Python floats), for the map Q = (q1/q3, q2/q3); the term is |I - Q|.
 
 def _qeval(q, x, y):
     return (q[0] + q[1] * x + q[2] * y + q[3] * x * x + q[4] * x * y
@@ -72,7 +49,8 @@ def _iso_affines(iso):
 
 
 def build_rational_map(region, triple):
-    """Symbolic circumcenter of three image isometries.
+    """Row of D_{ijk}, the distance from I_i(x, y) to the circumcenter of
+    (I_i, I_j, I_k)(x, y): the isometry of I_i, then q1, q2, q3.
 
     Perpendicular-bisector rows are affine because the isometries preserve
     |v|^2, so the quadratic terms of |I(v)|^2 cancel in differences.
@@ -105,32 +83,29 @@ def build_rational_map(region, triple):
     q3 = aff_mul(a1x, a2y) - aff_mul(a1y, a2x)
     q1 = aff_mul(b1, a2y) - aff_mul(b2, a1y)
     q2 = aff_mul(a1x, b2) - aff_mul(a2x, b1)
-    return RationalMap((i, j, k), tuple(q1.tolist()), tuple(q2.tolist()),
-                       tuple(q3.tolist()))
+    return (ii.a, ii.b, ii.c, ii.d, ii.tx, ii.ty) + tuple(q1.tolist()) + \
+        tuple(q2.tolist()) + tuple(q3.tolist())
 
 
-def _term(r, x, y):
-    """|I(x, y) - Q(x, y)| for a distance-term row r: the isometry
-    (a, b, c, d, tx, ty) of I followed by the coefficients q1, q2, q3 of
-    Q = (q1/q3, q2/q3). Coefficients and coordinates are floats or arrays
-    (a (24, n) array holds one coefficient row per element); inf where q3
-    vanishes."""
+def _center(r, x, y):
+    """Q(x, y) = (q1/q3, q2/q3) of a row r; coefficients and coordinates
+    are floats or arrays (a (24, n) array holds one row per element). A
+    float q3 of zero divides as arrays do: inf or nan."""
     den = _qeval(r[18:24], x, y)
     n1, n2 = _qeval(r[6:12], x, y), _qeval(r[12:18], x, y)
     try:
-        fx, fy = n1 / den, n2 / den
+        return n1 / den, n2 / den
     except ZeroDivisionError:
         den = np.float64(den)
-        fx, fy = n1 / den, n2 / den
+        return n1 / den, n2 / den
+
+
+def _term(r, x, y):
+    """|I(x, y) - Q(x, y)| for a row r, as `_center` takes it; inf where
+    q3 vanishes."""
+    fx, fy = _center(r, x, y)
     return np.hypot(r[0] * x + r[1] * y + r[4] - fx,
                     r[2] * x + r[3] * y + r[5] - fy)
-
-
-def _triple_row(region, rmap):
-    """Row of D_{ijk}, the distance from I_i(x, y) to the circumcenter."""
-    iso = region.isometries[rmap.indices[0]]
-    return (iso.a, iso.b, iso.c, iso.d, iso.tx, iso.ty) + rmap.q1 + \
-        rmap.q2 + rmap.q3
 
 
 def _cone_row(region, n):
@@ -321,7 +296,7 @@ def _region_equations(surface, region, pairs1, pairs2, pairs3):
     rows = {}
     for t in sorted(needed):
         try:
-            rows[t] = _triple_row(region, _cached_rmap(region, t))
+            rows[t] = build_rational_map(region, t)
         except AllTranslations:
             continue
 
@@ -338,6 +313,12 @@ def _region_equations(surface, region, pairs1, pairs2, pairs3):
     return eqs
 
 
+def _box(region):
+    """Bounding box (x0, x1, y0, y1) of the region outline."""
+    xs, ys = zip(*region.polygon.vertices)
+    return min(xs), max(xs), min(ys), max(ys)
+
+
 def probe_equations(surface, region):
     """Detect which equation instances can have valid solutions.
 
@@ -349,11 +330,7 @@ def probe_equations(surface, region):
     """
     grid = 6
     slack = 0.08 * surface.diameter
-    poly = region.polygon.vertices
-    xs0 = min(p[0] for p in poly)
-    xs1 = max(p[0] for p in poly)
-    ys0 = min(p[1] for p in poly)
-    ys1 = max(p[1] for p in poly)
+    xs0, xs1, ys0, ys1 = _box(region)
     margin = 0.02 * math.sqrt(region.area)
     probes = []
     for i in range(grid):
@@ -414,21 +391,15 @@ def trace_curves(surface, region, resolution=512, *, eps_curve=None,
         p1, p2, p3 = probe_equations(surface, region)
         equations = _region_equations(surface, region, p1, p2, p3)
 
-        poly = region.polygon.vertices
-        xs0 = min(p[0] for p in poly)
-        xs1 = max(p[0] for p in poly)
-        ys0 = min(p[1] for p in poly)
-        ys1 = max(p[1] for p in poly)
+        xs0, xs1, ys0, ys1 = _box(region)
         pad = 1e-6 * diam
         xs = np.linspace(xs0 - pad, xs1 + pad, resolution)
         ys = np.linspace(ys0 - pad, ys1 + pad, resolution)
         gx, gy = np.meshgrid(xs, ys)
         mask = region.polygon.inside_grid(gx, gy)
 
-        cones = [_cone_row(region, n) for n in range(len(region.isometries))]
-
         def classify(eq, xy):
-            return _classify_sample(surface, region, eq, xy, cones, eps_tie,
+            return _classify_sample(surface, region, eq, xy, eps_tie,
                                     eps_curve, eps_fix)
 
         spacing = diam / 120.0
@@ -603,36 +574,34 @@ def _make_curve(region, eq, full, run):
     return ClassifiedCurve(region.rid, eq.kind, eq.data, pts, label, smp)
 
 
-def _classify_sample(surface, region, eq, xy, cones, eps_tie, eps_curve,
-                     eps_fix):
+def _classify_sample(surface, region, eq, xy, eps_tie, eps_curve, eps_fix):
     """Validity and label of one refined curve sample.
 
     The sample sits within the curve tolerance of the true locus, so the
     goodness and d-consistency checks carry a matching slack; the label
-    comes from the region's own rational maps (on a Type-1 curve the two
-    circumcenters either split into distinct farthest points or coincide,
-    and the coinciding point is a limit point iff the map fixes it).
-    Goodness and d(p) are decided on the star polygon that the region's
-    isometries give at the sample, which `trace_curves` has checked
-    against the fit residual. `cones` holds the cone-distance rows of
-    every cone point.
+    comes from the region's own rational maps, the rows of the equation
+    (on a Type-1 curve the two circumcenters either split into distinct
+    farthest points or coincide, and the coinciding point is a limit point
+    iff the map fixes it). Goodness and d(p) are decided on the star
+    polygon that the region's isometries give at the sample, which
+    `trace_curves` has checked against the fit residual.
     """
     ta, tb = _term(eq.rows[0], *xy), _term(eq.rows[1], *xy)
     resid = abs(ta - tb)
     # the equation's value: D_a on type 1, the cone distance otherwise
     val = ta if eq.kind == "type1" else tb
     tol_d = max(20 * eps_curve, 2 * eps_tie)
-    # the cone distances are the cut lengths, whose maximum bounds d(p)
-    # from below: an equation value under that bound can never satisfy the
-    # d-consistency rule
-    d_lo = max(_term(r, *xy) for r in cones)
+    u = region.star_polygon(surface, xy)
+    # the cut lengths |phi_n - C_n| bound d(p) from below: an equation
+    # value under that bound can never satisfy the d-consistency rule
+    d_lo = max(np.hypot(px - cx, py - cy) for (px, py), (cx, cy)
+               in zip(u.source_images, u.cone_images))
     if resid > 10 * eps_curve or val < d_lo - tol_d:
         return CurveSample(xy, False, NEITHER, resid, math.inf)
     try:
         region.chart_inverse(xy)
     except KeyError:
         return CurveSample(xy, False, NEITHER, resid, math.inf)
-    u = region.star_polygon(surface, xy)
     # goodness before the d-check: most samples fail it, and it costs less
     # than ranking the Voronoi candidates for d(p); type 3 names no triple
     triples = {"type1": eq.data, "type2": eq.data[:1]}.get(eq.kind, ())
@@ -647,8 +616,7 @@ def _classify_sample(surface, region, eq, xy, cones, eps_tie, eps_curve,
         # type 2: a cone point plus an interior farthest point; type 3: two
         # cone points both farthest
         return CurveSample(xy, True, MULTI_VALUED, resid, d_gap)
-    fa = _cached_rmap(region, eq.data[0]).eval(*xy)
-    fb = _cached_rmap(region, eq.data[1]).eval(*xy)
+    fa, fb = _center(eq.rows[0], *xy), _center(eq.rows[1], *xy)
     if math.dist(fa, fb) > max(eps_fix, 20 * eps_curve):
         label = MULTI_VALUED
     else:
@@ -656,15 +624,6 @@ def _classify_sample(surface, region, eq, xy, cones, eps_tie, eps_curve,
         label = LIMIT if math.dist(mid, xy) < eps_fix else NEITHER
     return CurveSample(xy, True, label, resid, d_gap)
 
-
-def _cached_rmap(region, triple):
-    cache = getattr(region, "_rmap_cache", None)
-    if cache is None:
-        cache = {}
-        region._rmap_cache = cache
-    if triple not in cache:
-        cache[triple] = build_rational_map(region, triple)
-    return cache[triple]
 
 
 # -- hyperbola normal form ----------------------------------------------------
@@ -800,11 +759,7 @@ def check_rational_representation(surface, region, curves, *,
     developing frame, so both sides are planar points.
     """
     grid = 24
-    poly = region.polygon.vertices
-    xs0 = min(p[0] for p in poly)
-    xs1 = max(p[0] for p in poly)
-    ys0 = min(p[1] for p in poly)
-    ys1 = max(p[1] for p in poly)
+    xs0, xs1, ys0, ys1 = _box(region)
     cell = max(xs1 - xs0, ys1 - ys0) / grid
     margin = 1.5 * cell
     pts = {}
@@ -843,7 +798,7 @@ def check_rational_representation(surface, region, curves, *,
     checked = 0
     per_comp = max(1, n_samples // max(1, len(by_comp)))
     for c, samples in sorted(by_comp.items()):
-        formula = None
+        formula = row = None
         # spread over the component: its first points in lattice order
         # sit in one corner, and a component that wrongly spans a curve
         # shows it only across its extent
@@ -867,12 +822,12 @@ def check_rational_representation(surface, region, curves, *,
             triple = fp.indices
             if formula is None:
                 formula = ("triple", triple)
+                row = build_rational_map(region, triple)
             elif formula != ("triple", triple):
                 worst = math.inf
                 checked += 1
                 continue
-            rm = _cached_rmap(region, triple)
-            pred = rm.eval(*xy)
+            pred = _center(row, *xy)
             img, t_chart = u.dev_point(sp)
             anchor = region.cell_of(sp).chart.compose(t_chart.inverse())
             true_pt = anchor.apply(fp.center)
