@@ -20,7 +20,6 @@ from .curves import hyperbola_form, trace_curves
 from .dynamics import (certify_limit, iterate, orbit_csv_rows,
                        periodicity_scan, synthetic_cycle_orbit)
 from .errors import FarmapError
-from .farthest import evaluate_f
 from .geom import polygon_is_simple
 from .surface import SurfacePoint, build_from_gluing, build_from_vertices
 from .svgout import net_svg, star_polygon_svg
@@ -295,9 +294,8 @@ def cmd_report(cfg, inject_cycle=False):
         region = dec.regions[rid]
         if region.isometries is None:
             region_isometries(s, region)
-        res = evaluate_f(s, cert.limit)
         hf = hyperbola_form(s, region, region.chart(cert.limit),
-                            level=res.radius)
+                            level=cert.radius)
         cert.hyperbola_residual = hf.residual
         cert.degenerate_hyperbola = hf.degenerate
         worst_hyp = max(worst_hyp, hf.residual)

@@ -350,11 +350,9 @@ def fit_reversing_isometry(src, dst):
     h = (dst - cd).T @ (src - cs)
     u, _, vt = np.linalg.svd(h)
     d = np.sign(np.linalg.det(u @ vt))
-    # force det(M) = -1
+    # force det(M) = det(u) (-d) det(vt) = -d^2 = -1
     corr = np.diag([1.0, -d])
     m = u @ corr @ vt
-    if np.linalg.det(m) > 0:
-        m = u @ np.diag([1.0, d]) @ vt  # fallback; should not trigger
     t = cd - m @ cs
     # plain floats: numpy-scalar arithmetic in every later apply would be
     # several times slower, for the same IEEE results

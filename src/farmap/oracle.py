@@ -38,13 +38,6 @@ class OracleField:
         f, (u, v) = self.node_face_uv[i]
         return SurfacePoint(f, u, v)
 
-    def to_csv(self, path):
-        with open(path, "w") as fh:
-            fh.write("node,face,u,v,distance\n")
-            for i, (f, (u, v)) in enumerate(self.node_face_uv):
-                fh.write(f"{i},{f},{u:.12g},{v:.12g},"
-                         f"{self.values[i]:.12g}\n")
-
 
 class _SubdividedGraph:
     """Boundary-node graph and field lattice, shared by all queries at one

@@ -25,7 +25,8 @@ from scipy.spatial import QhullError, Voronoi
 
 from .errors import CutDegeneracy, OutsidePolygon, VoronoiDegeneracy
 from .geom import Iso, Polygon, polygon_signed_area
-from .geodesics import DirectionAtlas, paths_to_cone_points, trace_ray
+from .geodesics import (DirectionAtlas, minimizers, paths_to_cone_points,
+                        trace_ray)
 from .surface import TWO_PI
 
 
@@ -250,17 +251,15 @@ class StarUnfolding(StarPolygon):
             g = g.compose(Iso.rotation(self.theta_source))
         return g.compose(final_iso)
 
-    def dev_point(self, q, *, path=None):
+    def dev_point(self, q):
         """Developed image of q plus the q-chart -> polygon transform.
 
         q must avoid the cut tree; the unique shortest path from the source
         carries the development. For q on a face edge the path may end in
         the partner face; the transform then crosses that edge first, so
         it always reads coordinates in q's own face chart."""
-        from .geodesics import minimizers
-        if path is None:
-            cands = minimizers(self.surface, self.source, q)
-            path = min(cands, key=lambda g: (g.length, g.init_t))
+        path = min(minimizers(self.surface, self.source, q),
+                   key=lambda g: (g.length, g.init_t))
         t_bar = self._lift_angle(path.init_t)
         lifted = t_bar - path.init_t > 1e-9
         n = self._wedge_of_unwrapped(t_bar)

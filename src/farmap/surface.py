@@ -222,19 +222,16 @@ class ConeSurface:
         uv = self.antipodal_iso[p.face].apply(p.uv)
         return SurfacePoint(f2, uv[0], uv[1])
 
-    def random_point(self, rng, margin=0.0):
+    def random_point(self, rng):
         areas = np.array([self._face_area(f) for f in range(self.n_faces)])
         f = int(rng.choice(self.n_faces, p=areas / areas.sum()))
-        while True:
-            r1, r2 = rng.random(), rng.random()
-            s1 = math.sqrt(r1)
-            b = (1.0 - s1, s1 * (1.0 - r2), s1 * r2)
-            if margin and min(b) < margin:
-                continue
-            c = self.corners[f]
-            x = b[0] * c[0][0] + b[1] * c[1][0] + b[2] * c[2][0]
-            y = b[0] * c[0][1] + b[1] * c[1][1] + b[2] * c[2][1]
-            return SurfacePoint(f, x, y)
+        r1, r2 = rng.random(), rng.random()
+        s1 = math.sqrt(r1)
+        b = (1.0 - s1, s1 * (1.0 - r2), s1 * r2)
+        c = self.corners[f]
+        x = b[0] * c[0][0] + b[1] * c[1][0] + b[2] * c[2][0]
+        y = b[0] * c[0][1] + b[1] * c[1][1] + b[2] * c[2][1]
+        return SurfacePoint(f, x, y)
 
     @property
     def diameter(self):

@@ -206,16 +206,6 @@ def test_oracle_pointwise_monotone(octa, fresh_rng):
         prev = fld
 
 
-def test_oracle_csv(tmp_path, octa, fresh_rng):
-    p = octa.random_point(fresh_rng(9))
-    fld = oracle_distance_field(octa, p, 2)
-    out = tmp_path / "field.csv"
-    fld.to_csv(out)
-    lines = out.read_text().strip().splitlines()
-    assert lines[0] == "node,face,u,v,distance"
-    assert len(lines) == len(fld.values) + 1
-
-
 def test_lune_equation_random_pairs(octa, perturbed, fresh_rng):
     r = fresh_rng(10)
     for s in (octa, perturbed):
