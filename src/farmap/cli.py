@@ -296,8 +296,6 @@ def cmd_report(cfg, inject_cycle=False):
             region_isometries(s, region)
         hf = hyperbola_form(s, region, region.chart(cert.limit),
                             level=cert.radius)
-        cert.hyperbola_residual = hf.residual
-        cert.degenerate_hyperbola = hf.degenerate
         worst_hyp = max(worst_hyp, hf.residual)
         any_limit = True
     report["worst_hyperbola_residual"] = worst_hyp

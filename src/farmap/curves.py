@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import (AllTranslations, CompositionIsTranslation,
                      FitDegenerate, NoSolution)
-from .farthest import evaluate_f, max_good_radius, triple_conditions
+from .farthest import evaluate_f, ranked_good_triples, triple_conditions
 from .geom import aff, aff_mul, glide_decomposition
 from .star_unfold import unfold
 
@@ -608,7 +608,9 @@ def _classify_sample(surface, region, eq, xy, eps_tie, eps_curve, eps_fix):
     if not all(triple_conditions(u, t, slack=tol_d) is not None
                for t in triples):
         return CurveSample(xy, False, NEITHER, resid, math.inf)
-    d_gap = abs(val - max(max_good_radius(u), d_lo))
+    # d(p): the largest good radius, or the longest cut if none reaches it
+    top = next(ranked_good_triples(u, d_lo), None)
+    d_gap = abs(val - (d_lo if top is None else top.radius))
     if d_gap > tol_d:
         return CurveSample(xy, False, NEITHER, resid, d_gap)
 

@@ -37,8 +37,6 @@ class LimitCertificate:
     minimizer_count: int
     on_cone_point: bool
     radius: float
-    hyperbola_residual: float = None
-    degenerate_hyperbola: bool = None
 
 
 def _select(surface, result):

@@ -5,12 +5,13 @@ points with at least three minimizers back to the source) and the cone
 points themselves; f(p) keeps whichever family realizes the larger
 distance, or both on a tie. A good triple's circumcenter is a vertex of
 the Voronoi diagram of the source images, so only the triples at those
-vertices are tested.
+vertices are candidates. `ranked_good_triples` tests them by decreasing
+circumradius down to a floor, the one pass every caller shares.
 """
 
 import math
 from dataclasses import InitVar, dataclass, field
-from itertools import combinations
+from itertools import chain, combinations
 
 import numpy as np
 
@@ -45,8 +46,6 @@ class FarthestPoint:
 class FarthestResult:
     surface: object
     source: object          # phi(p), the unfolding source
-    m1: float
-    m2: float
     radius: float
     points: list            # FarthestPoint entries, deduplicated
     # all good triples: kept when passed, else rebuilt on access (`good`)
@@ -127,41 +126,36 @@ def _voronoi_candidates(u):
     return candidates
 
 
-def good_triples(u):
-    """All good triples of the unfolding, in lexicographic index order.
+def ranked_good_triples(u, floor=-math.inf):
+    """Good triples of the unfolding by decreasing radius, tested lazily
+    down to `floor`.
 
     Clipped to the star polygon, the Voronoi diagram of the source images
     is the cut locus, so a good triple's circumcenter is a Voronoi vertex
-    and its images are the vertex's nearest ones. Every triple among the
-    nearest images of some vertex is tested. Collinear image triples have
-    no circumcenter and are skipped; centers on the polygon boundary fail
-    the interior condition.
+    and its images are the vertex's nearest ones. The triples among the
+    nearest images of some vertex that have a circumcenter are ranked by
+    (-radius, indices), the radius computed as in `triple_conditions` so
+    that the two agree bit for bit; equal radii stay in index order.
     """
-    out = []
-    for triple in sorted(_voronoi_candidates(u)):
-        g = triple_conditions(u, triple)
-        if g is not None:
-            out.append(g)
-    return out
-
-
-def max_good_radius(u):
-    """max(g.radius for g in good_triples(u)), or -inf without a good
-    triple, testing the candidates by decreasing circumradius and stopping
-    at the first good one. The radius is computed as in
-    `triple_conditions`, so the two agree bit for bit."""
     imgs = u.source_images
     ranked = []
     for triple in _voronoi_candidates(u):
         i, j, k = triple
         c = circumcenter(imgs[i], imgs[j], imgs[k])
         if c is not None:
-            ranked.append((math.dist(c, imgs[i]), triple))
-    ranked.sort(reverse=True)
-    for r, triple in ranked:
-        if triple_conditions(u, triple) is not None:
-            return r
-    return -math.inf
+            ranked.append((-math.dist(c, imgs[i]), triple))
+    ranked.sort()
+    for neg_r, triple in ranked:
+        if -neg_r < floor:
+            return
+        g = triple_conditions(u, triple)
+        if g is not None:
+            yield g
+
+
+def good_triples(u):
+    """All good triples of the unfolding, in lexicographic index order."""
+    return sorted(ranked_good_triples(u), key=lambda g: g.indices)
 
 
 def evaluate_f(surface, p, *, eps_tie=None, unfolding=None):
@@ -173,36 +167,38 @@ def evaluate_f(surface, p, *, eps_tie=None, unfolding=None):
     cut choice, since a cut picked among wider near-ties can be longer
     than the distance to its cone point. A caller that needs the
     unfolding afterwards passes its own as `unfolding`, which the result
-    keeps, with its good triples. A triple's farthest point that folds
-    back outside its face raises OutsideFace.
+    keeps. A triple's farthest point that folds back outside its face
+    raises OutsideFace.
     """
     if eps_tie is None:
         eps_tie = surface.eps_tie
     u = unfolding
     if u is None:
         u = unfold(surface, surface.antipode(p))
-    gts = good_triples(u)
-    m1 = max((g.radius for g in gts), default=-math.inf)
     m2 = max(c.length for c in u.cuts)
+    # triples count when m1 >= m2 - eps_tie, down to m1 - eps_tie, so none
+    # under this floor can (subtracted twice to round as that bound does)
+    ranked = ranked_good_triples(u, m2 - eps_tie - eps_tie)
+    first = next(ranked, None)
+    m1 = -math.inf if first is None else first.radius
     radius = max(m1, m2)
 
     merge_tol = max(1e-9 * surface.chart_scale, 1e-3 * eps_tie)
     points = []
     if m1 >= m2 - eps_tie:
-        centers = []
-        for g in sorted(gts, key=lambda g: -g.radius):
+        kept = []
+        for g in chain([first], ranked):
             if g.radius < m1 - eps_tie:
                 break
-            dup = next((c for c in centers
-                        if math.dist(c[0], g.center) < merge_tol), None)
-            if dup is None:
-                centers.append((g.center, g))
-        for c, g in centers:
-            pt = surface.canonical(u.fold_back(c, g.indices)[0])
+            if not any(math.dist(c.center, g.center) < merge_tol
+                       for c in kept):
+                kept.append(g)
+        for g in kept:
+            pt = surface.canonical(u.fold_back(g.center, g.indices)[0])
             if not surface.contains(pt):
                 raise OutsideFace(
                     f"farthest point {pt} lies outside its face")
-            points.append(FarthestPoint(pt, "triple", c, g.radius,
+            points.append(FarthestPoint(pt, "triple", g.center, g.radius,
                                         g.indices))
     if m2 >= m1 - eps_tie:
         for n, cut in enumerate(u.cuts):
@@ -210,6 +206,5 @@ def evaluate_f(surface, p, *, eps_tie=None, unfolding=None):
                 pt = surface.vertex_point(cut.vid)
                 points.append(FarthestPoint(pt, "cone", u.cone_images[n],
                                             cut.length, (n,)))
-    return FarthestResult(surface, u.source, m1, m2, radius, points,
-                          gts if unfolding is not None else None,
+    return FarthestResult(surface, u.source, radius, points,
                           _unfolding=unfolding)

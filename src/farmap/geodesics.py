@@ -178,7 +178,6 @@ class GeodesicPath:
     target: SurfacePoint
     length: float
     init_t: float                 # atlas angle at the source
-    arrival_t: float              # atlas angle at target of the back direction
     start_face: int
     final_face: int
     final_transform: Iso          # final face chart -> search frame
@@ -397,8 +396,7 @@ def _chain_states(state):
     return chain
 
 
-def _build_path(surface, p, q, length, q_img, state, atlas_q,
-                source_total=TWO_PI):
+def _build_path(surface, p, q, length, q_img, state, source_total=TWO_PI):
     chain = _chain_states(state)
     root = chain[0]
     start_face = root[0]
@@ -420,13 +418,9 @@ def _build_path(surface, p, q, length, q_img, state, atlas_q,
         # angles beyond the cone total can only mean the seam direction
         init_t = 0.0
     final = chain[-1]
-    inv = final[1].inverse()
-    d = math.hypot(*q_img)
-    back = inv.apply_vec((-q_img[0] / d, -q_img[1] / d))
-    arrival_t = atlas_q.angle_from_chart(final[0], back)
     return GeodesicPath(
         source=p, target=q, length=length, init_t=init_t,
-        arrival_t=arrival_t, start_face=start_face, final_face=final[0],
+        start_face=start_face, final_face=final[0],
         final_transform=final[1], target_img=tuple(q_img),
         polyline=polyline)
 
@@ -471,12 +465,11 @@ def minimizers(surface, p, q):
     eps_tie = surface.eps_tie
     best, cands = _search(surface, p, q, eps_tie=eps_tie,
                           budget=DEFAULT_BUDGET)
-    atlas_q = DirectionAtlas.at(surface, q)
     total_p = DirectionAtlas.at(surface, p).total
     # shortest first, so that of two copies of one path the shorter stays
     raw = sorted((c for c in cands if c[0] <= best + eps_tie),
                  key=lambda c: c[0])
-    paths = [_build_path(surface, p, q, *c, atlas_q, total_p) for c in raw]
+    paths = [_build_path(surface, p, q, *c, total_p) for c in raw]
     ends = {info for kind, info in map(surface.classify, (p, q))
             if kind == "vertex"}
     paths = [g for g in paths if not _through_cone_point(surface, g, ends)]
@@ -683,12 +676,19 @@ def lunes(surface, p, q):
     if m == 1:
         return [Lune(paths[0], paths[0], theta_p, theta_q,
                      sorted(cone_angle))]
+    # atlas angles at q of the directions back along the paths
+    arrivals = []
+    for g in paths:
+        x, y = g.target_img
+        d = math.hypot(x, y)
+        back = g.final_transform.inverse().apply_vec((-x / d, -y / d))
+        arrivals.append(atlas_q.angle_from_chart(g.final_face, back))
     out = []
     for i in range(m):
         g1 = paths[i]
         g2 = paths[(i + 1) % m]
         a_p = (g2.init_t - g1.init_t) % theta_p
-        a_q = (g1.arrival_t - g2.arrival_t) % theta_q
+        a_q = (arrivals[i] - arrivals[(i + 1) % m]) % theta_q
         vids = [vid for vid, t in cone_angle.items()
                 if (t - g1.init_t) % theta_p < a_p]
         out.append(Lune(g1, g2, a_p, a_q, sorted(vids)))

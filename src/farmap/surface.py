@@ -23,7 +23,8 @@ from .geom import Iso, ear_clip
 TWO_PI = 2.0 * math.pi
 
 
-@dataclass(frozen=True)
+# slotted: batch callers keep thousands of results, each with its points
+@dataclass(frozen=True, slots=True)
 class SurfacePoint:
     """Location on the surface: face id plus chart coordinates."""
     face: int

@@ -172,19 +172,37 @@ def test_curves_output_digest_is_pinned(tmp_path, preset, want):
     assert digest.hexdigest() == want
 
 
-def test_orbit_output_digests_are_pinned(tmp_path):
-    """The three orbit files on the cube, pinned byte for byte."""
-    rc = main(["orbit", "--preset", "cube", "--orbits", "4", "--seed", "0",
-               "--out", str(tmp_path)])
-    assert rc == 0
-    want = {
+@pytest.mark.parametrize("preset, want", [
+    ("cube", {
         "orbits.csv": "dea79fc80728527a4659306635d0ed3b"
                       "6dae0727cc88e5946a2842f37819dfef",
         "orbit_certificates.json": "64537692c61d435c29cebd8d7bebf15a"
                                    "62214182dded1b279af5c2eca164c2ac",
         "orbit_log.csv": "1fbe3fa3f5b9281085c709036f1e38ab"
                          "d7fcce0e7946c164b0a0c53686acdd23",
-    }
+    }),
+    ("regular-octahedron", {
+        "orbits.csv": "3a623cc5e3562eddccb8e2f05c979ebf"
+                      "f24a4a0c56949bca532d9749651776f3",
+        "orbit_certificates.json": "145953c810c63ce0c6f2b8fafae15a11"
+                                   "fd93afbd81d79f0da642e1cb8493ed4c",
+        "orbit_log.csv": "3378e4a27cafc7243a12bb8fe2069d2c"
+                         "64071e4be37d3d7075230d995562a380",
+    }),
+    ("perturbed-octahedron:seed=1", {
+        "orbits.csv": "0d44bcddc5e3ae4eedbf679b75f3efcd"
+                      "7d7e60db7ff30566af87667296f8d519",
+        "orbit_certificates.json": "9d2e41cf162057da3e065467dbb979f2"
+                                   "6265a202fc0e7fbc51612a0de146a231",
+        "orbit_log.csv": "023237a565074eee7f251ea30dbd040b"
+                         "9590b1c325b1e5a81029b0251588b918",
+    }),
+], ids=["cube", "regular-octahedron", "perturbed-octahedron:seed=1"])
+def test_orbit_output_digests_are_pinned(tmp_path, preset, want):
+    """The three orbit files of four seeded orbits, pinned byte for byte."""
+    rc = main(["orbit", "--preset", preset, "--orbits", "4", "--seed", "0",
+               "--out", str(tmp_path)])
+    assert rc == 0
     for name, digest in want.items():
         assert hashlib.sha256(
             (tmp_path / name).read_bytes()).hexdigest() == digest, name

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 from itertools import combinations
 from types import SimpleNamespace
@@ -9,9 +10,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from farmap import farthest, presets
-from farmap.errors import OutsideFace, VoronoiDegeneracy
-from farmap.farthest import (evaluate_f, good_triples, max_good_radius,
-                             triple_conditions)
+from farmap.dynamics import iterate
+from farmap.errors import FarmapError, OutsideFace, VoronoiDegeneracy
+from farmap.farthest import (FarthestPoint, evaluate_f, good_triples,
+                             ranked_good_triples, triple_conditions)
 from farmap.geodesics import distance, minimizers
 from farmap.geom import circumcenter
 from farmap.oracle import oracle_distance_field
@@ -343,30 +345,26 @@ def test_result_unfolding_rebuilds_identically(perturbed, fresh_rng):
                       unfolding=supplied).unfolding is supplied
 
 
-def test_result_good_rebuilds_what_evaluate_f_found(perturbed, fresh_rng,
-                                                    monkeypatch):
-    """A result keeps no good-triple list: `good` is rebuilt from the
-    unfolding on first access and equals the list evaluate_f computed.
-    A list passed in (dataclasses.replace) is kept as given."""
-    found = []
-    real = farthest.good_triples
-
-    def recording(u):
-        found.append(real(u))
-        return found[-1]
-
-    monkeypatch.setattr(farthest, "good_triples", recording)
+def test_result_good_rebuilds_what_evaluate_f_found(perturbed, fresh_rng):
+    """A result keeps no good-triple list, also when the caller supplies
+    the unfolding: `good` is rebuilt from the unfolding on first access,
+    in index order, and holds the triple of every farthest point that
+    evaluate_f found. A list passed in (dataclasses.replace) is kept as
+    given."""
     r = fresh_rng(10)
     for _ in range(3):
-        found.clear()
-        res = evaluate_f(perturbed, perturbed.random_point(r))
-        computed, = found
+        p = perturbed.random_point(r)
+        res = evaluate_f(perturbed, p)
+        supplied = evaluate_f(perturbed, p, unfolding=res.unfolding)
+        assert res._good is None and supplied._good is None
         rebuilt = res.good
-        assert rebuilt is not computed
-        assert rebuilt == computed
+        assert rebuilt == _full_scan_good(res.unfolding)
         assert res.good is rebuilt
-    padded = dataclasses.replace(res, good=computed + computed[:1])
-    assert padded.good == computed + computed[:1]
+        found = {fp.indices for fp in res.points
+                 if fp.provenance == "triple"}
+        assert found <= {g.indices for g in rebuilt}
+    padded = dataclasses.replace(res, good=rebuilt + rebuilt[:1])
+    assert padded.good == rebuilt + rebuilt[:1]
     assert padded.radius == res.radius
 
 
@@ -381,15 +379,31 @@ def test_tie_width_does_not_change_radius():
     assert wide.radius == narrow.radius
 
 
-def _assert_max_good_radius(u):
-    want = max((g.radius for g in good_triples(u)), default=-math.inf)
-    assert max_good_radius(u) == want
+def _full_scan_good(u):
+    """Reference: every Voronoi candidate tested, in index order."""
+    found = (triple_conditions(u, t)
+             for t in sorted(farthest._voronoi_candidates(u)))
+    return [g for g in found if g is not None]
+
+
+def _assert_ranked_pass(u):
+    """The ranked pass down to a floor is the full scan ranked by
+    (-radius, indices) and cut at the floor: at no floor, at the longest
+    cut (the floor of a curve sample), and at and just above each good
+    radius."""
+    full = sorted(_full_scan_good(u), key=lambda g: (-g.radius, g.indices))
+    floors = [-math.inf, max(c.length for c in u.cuts)]
+    for g in full:
+        floors += [g.radius, math.nextafter(g.radius, math.inf)]
+    for floor in floors:
+        want = [g for g in full if g.radius >= floor]
+        assert list(ranked_good_triples(u, floor)) == want
 
 
 @given(seed=st.integers(0, 3), half=st.integers(3, 10),
        point_seed=st.integers(0, 2 ** 32 - 1), at_cone=st.booleans())
-def test_max_good_radius_matches_good_triples(seed, half, point_seed,
-                                              at_cone):
+def test_ranked_pass_with_floor_matches_full_scan(seed, half, point_seed,
+                                                  at_cone):
     s = _random_symmetric_polytope(seed, half)
     rng = np.random.default_rng(point_seed)
     if at_cone:
@@ -397,12 +411,13 @@ def test_max_good_radius_matches_good_triples(seed, half, point_seed,
         src = s.vertex_point(vids[int(rng.integers(len(vids)))])
     else:
         src = s.random_point(rng)
-    _assert_max_good_radius(unfold(s, src))
+    _assert_ranked_pass(unfold(s, src))
 
 
 @given(name=st.sampled_from(NEAR_COCIRCULAR), face=st.integers(0, 11),
        log_offset=st.integers(-12, -2), angle=st.floats(0.0, 2 * math.pi))
-def test_max_good_radius_near_cocircular(name, face, log_offset, angle):
+def test_ranked_pass_with_floor_near_cocircular(name, face, log_offset,
+                                                angle):
     s = presets.make(name)
     f = face % s.n_faces
     c = np.mean(s.corners[f], axis=0)
@@ -410,4 +425,135 @@ def test_max_good_radius_near_cocircular(name, face, log_offset, angle):
     for p in (SurfacePoint(f, c[0], c[1]),
               SurfacePoint(f, c[0] + r * math.cos(angle),
                            c[1] + r * math.sin(angle))):
-        _assert_max_good_radius(unfold(s, p))
+        _assert_ranked_pass(unfold(s, p))
+
+
+def _full_scan_f(surface, p, eps_tie):
+    """evaluate_f by the rule the ranked pass replaced, as (source, radius,
+    points): every good triple found, then sorted by radius and cut at the
+    tie band below the largest."""
+    u = unfold(surface, surface.antipode(p))
+    gts = _full_scan_good(u)
+    m1 = max((g.radius for g in gts), default=-math.inf)
+    m2 = max(c.length for c in u.cuts)
+    merge_tol = max(1e-9 * surface.chart_scale, 1e-3 * eps_tie)
+    points = []
+    if m1 >= m2 - eps_tie:
+        kept = []
+        for g in sorted(gts, key=lambda g: -g.radius):
+            if g.radius < m1 - eps_tie:
+                break
+            if not any(math.dist(c.center, g.center) < merge_tol
+                       for c in kept):
+                kept.append(g)
+        for g in kept:
+            pt = surface.canonical(u.fold_back(g.center, g.indices)[0])
+            if not surface.contains(pt):
+                raise OutsideFace(
+                    f"farthest point {pt} lies outside its face")
+            points.append(FarthestPoint(pt, "triple", g.center, g.radius,
+                                        g.indices))
+    if m2 >= m1 - eps_tie:
+        for n, cut in enumerate(u.cuts):
+            if cut.length >= m2 - eps_tie:
+                points.append(FarthestPoint(
+                    surface.vertex_point(cut.vid), "cone",
+                    u.cone_images[n], cut.length, (n,)))
+    return u.source, max(m1, m2), points
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except FarmapError as e:
+        return type(e), str(e)
+
+
+def _assert_matches_full_scan(s, p, tie):
+    """evaluate_f and the full-scan rule return identical results or raise
+    the same typed error, at the default tie width and at wide ones, where
+    the tie band reaches below the longest cut."""
+    eps_tie = s.eps_tie if tie is None else tie * s.diameter
+
+    def ranked():
+        res = evaluate_f(s, p, eps_tie=eps_tie)
+        return res.source, res.radius, res.points
+
+    assert _outcome(ranked) == _outcome(lambda: _full_scan_f(s, p, eps_tie))
+
+
+@functools.lru_cache(maxsize=None)
+def _polytope_and_limit(seed, half):
+    """A recipe polytope and a limit of f on it, which has at least four
+    minimizers from its antipode: its source images are cocircular."""
+    s = _random_symmetric_polytope(seed, half)
+    return s, iterate(s, s.random_point(np.random.default_rng(seed))).limit
+
+
+def _near(s, kind, offset, rng):
+    """A point `offset` x chart_scale from a random corner or edge of a
+    random face, on the face side."""
+    f = int(rng.integers(s.n_faces))
+    e = int(rng.integers(3))
+    a, b, c = (np.array(s.corners[f][(e + k) % 3]) for k in range(3))
+    d = offset * s.chart_scale
+    if kind == "vertex":
+        x = a + d * (c + b - 2 * a) / np.linalg.norm(c + b - 2 * a)
+    else:
+        t = b - a
+        n = np.array([-t[1], t[0]]) / np.linalg.norm(t)
+        if np.dot(n, c - a) < 0:
+            n = -n
+        x = a + rng.uniform(0.05, 0.95) * t + d * n
+    return SurfacePoint(f, float(x[0]), float(x[1]))
+
+
+TIE_WIDTHS = (None, 1e-3, 3e-2, 0.2)    # x diameter; None: the surface's
+_preset = functools.lru_cache(maxsize=None)(presets.make)
+
+
+@given(seed=st.integers(0, 3), half=st.integers(3, 10),
+       point_seed=st.integers(0, 2 ** 32 - 1),
+       kind=st.sampled_from(["random", "cone", "limit", "edge", "vertex"]),
+       log_offset=st.integers(-12, -6), angle=st.floats(0.0, 2 * math.pi),
+       tie=st.sampled_from(TIE_WIDTHS))
+def test_evaluate_f_matches_full_scan_rule(seed, half, point_seed, kind,
+                                           log_offset, angle, tie):
+    """Random points, cone points, points next to a limit of f (nearly
+    cocircular source images), and points 1e-12..1e-6 x chart_scale from
+    face edges and corners, on recipe polytopes with K = 6..20."""
+    s, limit = _polytope_and_limit(seed, half)
+    rng = np.random.default_rng(point_seed)
+    offset = 10.0 ** log_offset
+    if kind == "random":
+        p = s.random_point(rng)
+    elif kind == "cone":
+        vids = sorted(s.vertex_cycles)
+        p = s.vertex_point(vids[int(rng.integers(len(vids)))])
+    elif kind == "limit":
+        r = offset * s.chart_scale
+        p = SurfacePoint(limit.face, limit.u + r * math.cos(angle),
+                         limit.v + r * math.sin(angle))
+        if not s.contains(p):
+            p = limit
+    else:
+        p = _near(s, kind, offset, rng)
+    _assert_matches_full_scan(s, p, tie)
+
+
+@given(name=st.sampled_from(NEAR_COCIRCULAR), face=st.integers(0, 11),
+       log_offset=st.integers(-12, -2), angle=st.floats(0.0, 2 * math.pi),
+       tie=st.sampled_from(TIE_WIDTHS))
+def test_evaluate_f_matches_full_scan_rule_near_cocircular(
+        name, face, log_offset, angle, tie):
+    """At and next to the face centers of the symmetric presets, where
+    many good triples tie and their circumcenters coincide, so the tie
+    order decides which triple folds back."""
+    s = _preset(name)
+    f = face % s.n_faces
+    c = np.mean(s.corners[f], axis=0)
+    r = 10.0 ** log_offset * s.chart_scale
+    for p in (SurfacePoint(f, c[0], c[1]),
+              SurfacePoint(f, c[0] + r * math.cos(angle),
+                           c[1] + r * math.sin(angle))):
+        _assert_matches_full_scan(s, p, tie)
