@@ -290,11 +290,10 @@ def cmd_report(cfg, inject_cycle=False):
     worst_hyp = 0.0
     any_limit = False
     for cert in certs:
-        rid = dec.locate(cert.limit)
-        region = dec.regions[rid]
+        region, cell = dec.locate(cert.limit)
         if region.isometries is None:
             region_isometries(s, region)
-        hf = hyperbola_form(s, region, region.chart(cert.limit),
+        hf = hyperbola_form(s, region, cell.chart.apply(cert.limit.uv),
                             level=cert.radius)
         worst_hyp = max(worst_hyp, hf.residual)
         any_limit = True

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial import ConvexHull
 
-from .errors import ArrangementDegeneracy, FitDegenerate
+from .errors import ArrangementDegeneracy, FitDegenerate, NotInRegion
 from .geom import (Iso, Polygon, dist_point_seg, fit_reversing_isometry,
                    polygon_signed_area, seg_seg_intersection)
 from .star_unfold import StarPolygon, unfold
@@ -341,17 +341,10 @@ class Region:
                 return cell, uv
         return None
 
-    def chart(self, sp):
-        """Region-plane coordinates of a surface point in this region."""
-        cell = self.cell_of(sp)
-        if cell is None:
-            raise KeyError("point is not in this region")
-        return cell.chart.apply(sp.uv)
-
     def chart_inverse(self, xy):
         hit = self.planar_cell(xy)
         if hit is None:
-            raise KeyError("planar point is not in this region")
+            raise NotInRegion("planar point is not in this region")
         cell, uv = hit
         return SurfacePoint(cell.face, uv[0], uv[1])
 
@@ -401,12 +394,15 @@ class RegionDecomposition:
         self.regions = regions
 
     def locate(self, sp):
-        """Region id containing the surface point (boundary points get an
-        arbitrary incident region)."""
+        """(region, cell) holding the surface point, its cell within 1e-7
+        (boundary points get an arbitrary incident region). The cell's
+        chart takes sp into the region plane, so no second lookup, with
+        another tolerance, has to find it again."""
         for r in self.regions:
-            if r.cell_of(sp, 1e-7) is not None:
-                return r.rid
-        raise KeyError("point not located in any region")
+            cell = r.cell_of(sp, 1e-7)
+            if cell is not None:
+                return r, cell
+        raise NotInRegion("point not located in any region")
 
 
 def build_regions(surface):

@@ -33,6 +33,13 @@ class VoronoiDegeneracy(FarmapError):
     """Qhull cannot build the Voronoi diagram of the source images."""
 
 
+class NotInRegion(FarmapError, KeyError):
+    """Point lies in no cell of the region (or decomposition) asked.
+
+    Also a KeyError: region lookups that miss are control flow for the
+    samplers, which try the next point."""
+
+
 class OutsidePolygon(FarmapError):
     """Planar point is not strictly inside the star polygon."""
 

@@ -1,4 +1,4 @@
-"""Exact shortest paths on the cone surface by best-first planar unfolding.
+"""Exact shortest paths on the cone surface by ordered planar unfolding.
 
 A query unfolds chains of faces into a frame where the source sits at the
 origin and initial directions equal angles of the source's direction atlas.
@@ -6,11 +6,23 @@ States carry a window (the visible interval of the entered edge); windows
 are clipped by the visibility cone through all previous windows, which
 discards paths through cone points (they are never minimizers).
 
-Point-to-point queries (`distance`, `minimizers`) run this expansion
-best-first from the source. Paths to the cone points, which every star
-unfolding needs, come from one shortest-path map per cone point
-(`ConeMap`): the expansion run once from the cone point and kept per face,
-over which a query runs the target test on its point.
+Point-to-point queries (`distance`, `minimizers`) run this expansion from
+the source in A* order (Hart, Nilsson and Raphael, 1968). A state's key is
+its window's distance from the origin plus the 3-D chord from the target
+to the window's piece of its edge: a path on the embedded surface is never
+shorter than its chord. Only a surface built from vertices has the 3-D
+corners (`surface.embedding`) for the chord; on a net it is 0, which is
+plain best-first order. The chord is shrunk by a relative 1e-9 and by the
+search's tolerance, so that rounding never lifts a key above the length
+of a path through its window. Every state on a path no longer than the
+stopping bound is therefore still expanded, and the candidates, computed
+as before, are the same: only the order of expansion changes, and with it
+how many states are expanded past the shortest path.
+
+Paths to the cone points, which every star unfolding needs, come from one
+shortest-path map per cone point (`ConeMap`): the expansion run once from
+the cone point and kept per face, over which a query runs the target test
+on its point. A map has no target, so its keys carry no chord.
 """
 
 import heapq
@@ -268,9 +280,25 @@ def _window_hit(q_img, d, wa, wb, tol, graze):
     return u_eps < u < 1.0 - u_eps
 
 
-def _start_states(surface, atlas):
+def _chord(q3, tri3, e, s0, s1, tol):
+    """3-D distance from q3 to the piece [s0, s1] of edge e of a face with
+    3-D corners tri3, shrunk by a relative 1e-9 and by tol: no surface
+    path from that piece to q3 is shorter, even after rounding."""
+    ax, ay, az = tri3[e]
+    bx, by, bz = tri3[(e + 1) % 3]
+    dx, dy, dz = bx - ax, by - ay, bz - az
+    qx, qy, qz = q3[0] - ax, q3[1] - ay, q3[2] - az
+    t = (qx * dx + qy * dy + qz * dz) / (dx * dx + dy * dy + dz * dz)
+    t = min(max(t, s0), s1)
+    chord = math.hypot(qx - t * dx, qy - t * dy, qz - t * dz)
+    return max(0.0, chord * (1.0 - 1e-9) - tol)
+
+
+def _start_states(surface, atlas, q3=None):
     """Start of a window expansion from the atlas point: per sector, the
-    root state, its angle range and its (lower bound, child) pairs."""
+    root state, its angle range and its (key, child) pairs. The key is the
+    window's distance from the origin, plus its chord to q3 if given."""
+    tol = 1e-12 * surface.chart_scale
     out = []
     for idx, (f, t0, t1, _, _, blocked) in enumerate(atlas.sectors):
         t_iso = atlas.place_iso(idx)
@@ -283,17 +311,20 @@ def _start_states(surface, atlas):
             wb = t_iso.apply(surface.corners[f][(e + 1) % 3])
             if _cross(wa[0], wa[1], wb[0], wb[1]) < 0:
                 wa, wb = wb, wa
+            key = dist_point_seg((0.0, 0.0), wa, wb)
+            if q3 is not None:
+                key += _chord(q3, surface.embedding[f], e, 0.0, 1.0, tol)
             f2, e2, t_into = surface.glue[(f, e)]
-            kids.append((dist_point_seg((0.0, 0.0), wa, wb),
-                         (f2, t_iso.compose(t_into), wa, wb, root, e2)))
+            kids.append((key, (f2, t_iso.compose(t_into), wa, wb, root, e2)))
         out.append((root, t0, t1, kids))
     return out
 
 
-def _children(surface, state, bound):
-    """(lower bound, child) for each exit edge of the state's face, clipped
-    to the cone of directions through the state's window, whose clipped
-    window lies within `bound` of the origin."""
+def _children(surface, state, bound, q3=None):
+    """(key, child) for each exit edge of the state's face, clipped to the
+    cone of directions through the state's window, whose key is within
+    `bound`. The key is the clipped window's distance from the origin,
+    plus its chord to q3 if given."""
     face, t_iso, wa, wb, _, entry = state
     wax, way = wa
     wbx, wby = wb
@@ -330,22 +361,27 @@ def _children(surface, state, bound):
             continue
         if _cross(na[0], na[1], nb[0], nb[1]) < 0:
             na, nb = nb, na
-        lb = dist_point_seg((0.0, 0.0), na, nb)
-        if lb > bound:
+        key = dist_point_seg((0.0, 0.0), na, nb)
+        if key > bound:
             continue
+        if q3 is not None:
+            key += _chord(q3, surface.embedding[face], e, s0, s1, tol)
+            if key > bound:
+                continue
         f2, e2, t_into = surface.glue[(face, e)]
-        out.append((lb, (f2, t_iso.compose(t_into), na, nb, state, e2)))
+        out.append((key, (f2, t_iso.compose(t_into), na, nb, state, e2)))
     return out
 
 
 def _search(surface, p, q, *, eps_tie, budget):
-    """Best-first unfolding search from p to q.
+    """A* unfolding search from p to q.
 
     Returns (best, cands) with cands a list of raw candidates
     (length, q_img, state); a state chains back to the start face.
     """
     atlas = DirectionAtlas.at(surface, p)
     targets, graze = _target_copies(surface, q)
+    q3 = surface.position(q)
     tol = 1e-12 * surface.chart_scale
     best = math.inf
     cands = []
@@ -355,19 +391,19 @@ def _search(surface, p, q, *, eps_tie, budget):
     def bound():
         return best + eps_tie + tol
 
-    for root, t0, t1, kids in _start_states(surface, atlas):
+    for root, t0, t1, kids in _start_states(surface, atlas, q3):
         for tuv in targets.get(root[0], ()):
             hit = _sector_hit(root[1], t0, t1, tuv, tol)
             if hit is not None:
                 best = min(best, hit[0])
                 cands.append((*hit, root))
-        for lb, child in kids:
-            heapq.heappush(heap, (lb, next(counter), child))
+        for key, child in kids:
+            heapq.heappush(heap, (key, next(counter), child))
 
     pops = 0
     while heap:
-        lb, _, state = heapq.heappop(heap)
-        if lb > bound():
+        key, _, state = heapq.heappop(heap)
+        if key > bound():
             break
         pops += 1
         if pops > budget:
@@ -381,8 +417,8 @@ def _search(surface, p, q, *, eps_tie, budget):
             if _window_hit(q_img, d, wa, wb, tol, graze):
                 best = min(best, d)
                 cands.append((d, q_img, state))
-        for lb2, child in _children(surface, state, bound()):
-            heapq.heappush(heap, (lb2, next(counter), child))
+        for key, child in _children(surface, state, bound(), q3):
+            heapq.heappush(heap, (key, next(counter), child))
     return best, cands
 
 

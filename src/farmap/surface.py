@@ -7,8 +7,9 @@ construction), the total deficit is 4*pi, and the central symmetry is
 realized by a face permutation with per-face orientation-reversing chart
 isometries.
 
-3D coordinates appear only while building from a vertex set; everything
-downstream is purely 2D/intrinsic.
+3D coordinates appear only while building from a vertex set, and in the
+3-D corners that a surface built that way keeps (`embedding`) for the
+geodesic search's chord bound; everything else is purely 2D/intrinsic.
 """
 
 import math
@@ -54,8 +55,11 @@ class ConeSurface:
     """Immutable after construction; all query methods are pure reads."""
 
     def __init__(self, corners, face_vids, glue, antipodal_face=None,
-                 antipodal_iso=None):
+                 antipodal_iso=None, embedding=None):
         self.corners = corners            # face -> ((x,y),(x,y),(x,y))
+        # face -> its three corners in R^3 (None for a net, which has no
+        # embedding)
+        self.embedding = embedding
         self.face_vids = face_vids        # face -> (vid, vid, vid)
         self.glue = glue                  # (face, edge) -> (f2, e2, Iso f2->f)
         self.n_faces = len(corners)
@@ -217,6 +221,15 @@ class ConeSurface:
             if f2 == q.face:
                 return math.dist(p.uv, t_into.apply(q.uv))
         return None
+
+    def position(self, p):
+        """3-D position of p on the polyhedron; None for a net."""
+        if self.embedding is None:
+            return None
+        tri = self.embedding[p.face]
+        b = self.bary(p)
+        return tuple(b[0] * tri[0][i] + b[1] * tri[1][i] + b[2] * tri[2][i]
+                     for i in range(3))
 
     def antipode(self, p):
         f2 = self.antipodal_face[p.face]
@@ -539,7 +552,10 @@ def _assemble(pts, tris, vids, eps):
         antipodal_face.append(f2)
         antipodal_iso.append(iso)
 
-    surf = ConeSurface(corners, vids, glue, antipodal_face, antipodal_iso)
+    embedding = [tuple(tuple(float(x) for x in pt) for pt in tri)
+                 for tri in tris]
+    surf = ConeSurface(corners, vids, glue, antipodal_face, antipodal_iso,
+                       embedding)
     surf.validate()
     return surf
 

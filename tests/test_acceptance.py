@@ -216,10 +216,9 @@ def test_acceptance_8_hyperbola_residuals(orbit_batch, region_data,
     perturbed_nondegen = 0
     for name, s, orb, cert in orbit_batch:
         dec = region_data[name]
-        rid = dec.locate(cert.limit)
-        region = dec.regions[rid]
+        region, cell = dec.locate(cert.limit)
         res = evaluate_f(s, cert.limit)
-        hf = hyperbola_form(s, region, region.chart(cert.limit),
+        hf = hyperbola_form(s, region, cell.chart.apply(cert.limit.uv),
                             level=res.radius)
         worst = max(worst, hf.residual / s.diameter ** 2)
         if name == "regular-octahedron" and not hf.degenerate:

@@ -7,6 +7,7 @@ import pytest
 
 from farmap import presets
 from farmap.cli import RunConfig, main
+from farmap.errors import FarmapError, NotInRegion
 from farmap.farthest import evaluate_f
 from farmap.geodesics import distance
 from farmap.surface import SurfacePoint
@@ -225,6 +226,30 @@ def test_cube_source_next_to_an_edge_folds_into_its_faces(tmp_path, cube):
             assert cube.contains(fp.point)
             assert distance(cube, res.source, fp.point) == pytest.approx(
                 res.radius, abs=cube.eps_tie)
+
+
+def test_cube_report_certifies_limits_on_region_edges(tmp_path):
+    """Cube limits lie on region edges, up to 3e-8 outside the cell that
+    the region lookup finds. The hyperbola check takes the limit's chart
+    from that cell, so the command certifies all four statements."""
+    rc = main(["report", "--preset", "cube", "--orbits", "8", "--seed", "3",
+               "--out", str(tmp_path)])
+    assert rc == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["theorem4_ok"]
+
+
+def test_region_lookup_miss_is_a_typed_error(octa_regions):
+    """A point in no region raises NotInRegion, a FarmapError that the
+    samplers still catch as a KeyError."""
+    region = octa_regions.regions[0]
+    far = (1e3 * octa_regions.surface.chart_scale, 0.0)
+    for call in (lambda: region.chart_inverse(far),
+                 lambda: octa_regions.locate(SurfacePoint(0, *far))):
+        with pytest.raises(NotInRegion) as err:
+            call()
+        assert isinstance(err.value, FarmapError)
+        assert isinstance(err.value, KeyError)
 
 
 def test_run_config_tolerances_come_from_the_surface(tmp_path):

@@ -422,16 +422,16 @@ def test_hyperbola_residuals_on_octahedron(octa, octa_regions, fresh_rng):
     for _ in range(5):
         orb = iterate(octa, octa.random_point(rng), max_steps=500)
         lim = orb.limit
-        region = octa_regions.regions[octa_regions.locate(lim)]
+        region, cell = octa_regions.locate(lim)
+        xy = cell.chart.apply(lim.uv)
         res = evaluate_f(octa, lim)
-        hf = hyperbola_form(octa, region, region.chart(lim),
+        hf = hyperbola_form(octa, region, xy,
                             level=res.radius)
         assert hf.residual < bound
         assert hf.form_error < 1e-9
         assert hf.degenerate  # straight segments on the regular octahedron
         # degenerate case: the limit sits on a coordinate axis of the frame
         c, s_ = math.cos(-hf.frame_angle), math.sin(-hf.frame_angle)
-        xy = region.chart(lim)
         x = xy[0] - hf.origin[0]
         y = xy[1] - hf.origin[1]
         zb = (c * x - s_ * y, s_ * x + c * y)
@@ -446,9 +446,9 @@ def test_hyperbola_nondegenerate_on_perturbed(perturbed, perturbed_regions,
     for _ in range(5):
         orb = iterate(perturbed, perturbed.random_point(rng), max_steps=500)
         lim = orb.limit
-        region = perturbed_regions.regions[perturbed_regions.locate(lim)]
+        region, cell = perturbed_regions.locate(lim)
         res = evaluate_f(perturbed, lim)
-        hf = hyperbola_form(perturbed, region, region.chart(lim),
+        hf = hyperbola_form(perturbed, region, cell.chart.apply(lim.uv),
                             level=res.radius)
         assert hf.residual < bound
         nondegen += not hf.degenerate
@@ -459,9 +459,9 @@ def test_limit_line_solve(octa, octa_regions, fresh_rng):
     rng = fresh_rng(4)
     orb = iterate(octa, octa.random_point(rng), max_steps=500)
     lim = orb.limit
-    region = octa_regions.regions[octa_regions.locate(lim)]
+    region, cell = octa_regions.locate(lim)
     res = evaluate_f(octa, lim)
-    xy = region.chart(lim)
+    xy = cell.chart.apply(lim.uv)
     active = active_from_displacement(region, xy, res.radius,
                                       1e-5 * octa.diameter)
     assert len(active) >= 4

@@ -128,7 +128,7 @@ def _phi_region_map(dec):
             raise ArrangementDegeneracy(
                 f"region {r.rid} admits no interior sample")
         _, sp = samples[0]
-        out[r.rid] = dec.locate(dec.surface.antipode(sp))
+        out[r.rid] = dec.locate(dec.surface.antipode(sp))[0].rid
     return out
 
 
@@ -155,11 +155,12 @@ def test_isometries_are_reversing_and_exact(octa_regions, octa, fresh_rng):
         sp = None
         while sp is None:
             cand = octa.random_point(r)
-            if octa_regions.locate(cand) == region.rid:
+            found, cell = octa_regions.locate(cand)
+            if found is region:
                 sp = cand
         u = unfold(octa, octa.antipode(sp))
         img, t_chart = u.dev_point(sp)
-        w = region.cell_of(sp).chart
+        w = cell.chart
         anchor = w.compose(t_chart.inverse())
         x = w.apply(sp.uv)
         assert [c.vid for c in u.cuts] == region.cone_order

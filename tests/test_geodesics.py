@@ -1,3 +1,5 @@
+import heapq
+import itertools
 import math
 from functools import lru_cache
 
@@ -6,14 +8,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from farmap import geodesics, presets
 from farmap.cutlocus import cut_locus
+from farmap.dynamics import iterate
 from farmap.errors import SearchBudgetExceeded
 from farmap.farthest import evaluate_f
-from farmap.geodesics import (DirectionAtlas, distance, lunes, minimizers,
+from farmap.geodesics import (DirectionAtlas, _children, _chord,
+                              _sector_hit, _start_states, _target_copies,
+                              _window_hit, distance, lunes, minimizers,
                               paths_to_cone_points)
 from farmap.geom import dist_point_seg
 from farmap.oracle import oracle_distance_field
-from farmap.surface import SurfacePoint, build_from_vertices
+from farmap.surface import SurfacePoint, build_from_gluing, build_from_vertices
 
 SQRT2 = math.sqrt(2.0)
 SQRT6 = math.sqrt(6.0)
@@ -379,3 +385,114 @@ def test_cone_paths_reach_past_the_diameter():
     assert far
     for p in far:
         _assert_query_matches_search(s, p)
+
+
+def _plain_search(surface, p, q, *, eps_tie, budget):
+    """Reference for `geodesics._search`: the same window expansion in
+    plain best-first order, each state keyed by its window's distance from
+    p alone, with no chord to q."""
+    atlas = DirectionAtlas.at(surface, p)
+    targets, graze = _target_copies(surface, q)
+    tol = 1e-12 * surface.chart_scale
+    best, cands, heap = math.inf, [], []
+    counter = itertools.count()
+    for root, t0, t1, kids in _start_states(surface, atlas):
+        for tuv in targets.get(root[0], ()):
+            hit = _sector_hit(root[1], t0, t1, tuv, tol)
+            if hit is not None:
+                best = min(best, hit[0])
+                cands.append((*hit, root))
+        for lb, child in kids:
+            heapq.heappush(heap, (lb, next(counter), child))
+    while heap:
+        lb, _, state = heapq.heappop(heap)
+        if lb > best + eps_tie + tol:
+            break
+        face, t_iso, wa, wb, _, _ = state
+        for tuv in targets.get(face, ()):
+            q_img = t_iso.apply(tuv)
+            d = math.hypot(*q_img)
+            if tol < d <= best + eps_tie + tol and _window_hit(
+                    q_img, d, wa, wb, tol, graze):
+                best = min(best, d)
+                cands.append((d, q_img, state))
+        for lb2, child in _children(surface, state, best + eps_tie + tol):
+            heapq.heappush(heap, (lb2, next(counter), child))
+    return best, cands
+
+
+@lru_cache(maxsize=None)
+def _search_surface(name):
+    """A preset, a recipe "recipe:s,h" or a preset loaded from its net."""
+    kind, _, arg = name.partition(":")
+    if kind == "recipe":
+        return _random_symmetric_polytope(*map(int, arg.split(",")))
+    if kind == "net":
+        return build_from_gluing(presets.make(arg).to_net_spec())
+    return presets.make(name)
+
+
+def _query_pairs(s, n_limits):
+    """Pairs of sources and targets: random, cone, edge and orbit-limit
+    points, each source also paired with its antipode."""
+    rng = np.random.default_rng(0)
+    vids = sorted(s.vertex_cycles)
+    cones = [s.vertex_point(v) for v in (vids[0], vids[len(vids) // 2])]
+    edges = []
+    for f in (0, s.n_faces // 2):
+        (ax, ay), (bx, by), _ = s.corners[f]
+        edges.append(SurfacePoint(f, 0.3 * ax + 0.7 * bx,
+                                  0.3 * ay + 0.7 * by))
+    rand = [s.random_point(rng) for _ in range(4)]
+    limits = [iterate(s, s.random_point(rng)).limit for _ in range(n_limits)]
+    sources = rand[:2] + cones[:1] + edges[:1] + limits
+    targets = rand[2:] + cones + edges + limits
+    return [(p, q) for p in sources for q in targets if p != q] + \
+        [(p, s.antipode(p)) for p in sources]
+
+
+def _answers(s, pairs):
+    return [(distance(s, p, q),
+             [(g.length, g.init_t, g.polyline) for g in minimizers(s, p, q)])
+            for p, q in pairs]
+
+
+@pytest.mark.parametrize("name, n_limits", [
+    ("regular-octahedron", 1), ("cube", 0), ("antiprism", 0),
+    ("perturbed-octahedron:seed=1", 1), ("perturbed-octahedron:seed=2", 0),
+    ("recipe:5,5", 1), ("recipe:0,10", 0),
+    ("net:perturbed-octahedron:seed=1", 0)])
+def test_chord_order_matches_plain_best_first(monkeypatch, name, n_limits):
+    """The search's chord bound only reorders the expansion: distances,
+    and every minimizer's length, initial direction and polyline, are
+    bit-identical to those of the plain best-first order. A net has no
+    embedding, so its search runs without the chord."""
+    s = _search_surface(name)
+    assert (s.embedding is None) == name.startswith("net:")
+    pairs = _query_pairs(s, n_limits)
+    got = _answers(s, pairs)
+    monkeypatch.setattr(geodesics, "_search", _plain_search)
+    assert _answers(s, pairs) == got
+
+
+@settings(max_examples=100)
+@given(seed=st.integers(0, 3), half=st.integers(3, 10),
+       point_seed=st.integers(0, 2 ** 32 - 1))
+def test_chord_bound_never_exceeds_distance(seed, half, point_seed):
+    """The chord from q to a piece of an edge, as the search adds it to a
+    window's key, is no longer than the distance from q to any point p of
+    that piece."""
+    s = _cached_polytope(seed, half)
+    rng = np.random.default_rng(point_seed)
+    f = int(rng.integers(s.n_faces))
+    e = int(rng.integers(3))
+    t = float(rng.uniform())
+    s0, s1 = t * float(rng.uniform()), t + (1.0 - t) * float(rng.uniform())
+    (ax, ay), (bx, by) = s.corners[f][e], s.corners[f][(e + 1) % 3]
+    p = SurfacePoint(f, ax + t * (bx - ax), ay + t * (by - ay))
+    q = s.random_point(rng)
+    q3 = s.position(q)
+    tol = 1e-12 * s.chart_scale
+    piece = _chord(q3, s.embedding[f], e, s0, s1, tol)
+    assert piece <= _chord(q3, s.embedding[f], e, t, t, tol) \
+        <= distance(s, p, q)
